@@ -9,6 +9,9 @@ workers can do to it:
 * **crash detection** — a worker that dies (OOM kill, segfault, chaos
   SIGKILL) is detected by process liveness; its in-flight cell is
   requeued with exponential backoff and a fresh worker is spawned;
+* **private result pipes** — each worker reports on its own pipe, read
+  through :func:`multiprocessing.connection.wait`, so a worker killed
+  halfway through a write can only tear its own channel;
 * **hang detection** — workers heartbeat every ``heartbeat_interval``
   even while computing; a silent worker (``heartbeat_timeout``) or a
   cell past its ``cell_timeout`` wall-clock deadline is SIGKILLed and
@@ -42,11 +45,11 @@ import heapq
 import json
 import multiprocessing
 import os
-import queue as queue_module
 import random
 import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -126,6 +129,8 @@ class _Worker:
     uid: int
     proc: Any
     task_queue: Any
+    #: the read end of this incarnation's private result pipe
+    results: Connection
     last_seen: float
     assignment: Optional[tuple[Cell, int, float]] = None   # cell, attempt, t0
 
@@ -189,9 +194,7 @@ class _Master:
         self.progress = progress
         self.metrics = MetricsRegistry()
         self.ctx = multiprocessing.get_context("spawn")
-        self.result_queue = self.ctx.Queue()
         self.slots: dict[int, _Worker] = {}
-        self.by_uid: dict[int, _Worker] = {}
         self.next_uid = 0
         self.pending = _Pending()
         self.hang_injected: set[str] = set()
@@ -217,16 +220,20 @@ class _Master:
         uid = self.next_uid
         self.next_uid += 1
         task_queue = self.ctx.Queue()
+        results, sender = self.ctx.Pipe(duplex=False)
         proc = self.ctx.Process(
             target=worker_main,
-            args=(uid, task_queue, self.result_queue, self.check,
+            args=(uid, task_queue, sender, self.check,
                   self.heartbeat_interval),
             name=f"campaign-worker-{slot}", daemon=True)
         proc.start()
+        # Only the worker may hold the write end: once it dies, reads
+        # see EOF instead of blocking on a half-written message.
+        sender.close()
         worker = _Worker(slot=slot, uid=uid, proc=proc,
-                         task_queue=task_queue, last_seen=time.monotonic())
+                         task_queue=task_queue, results=results,
+                         last_seen=time.monotonic())
         self.slots[slot] = worker
-        self.by_uid[uid] = worker
         self.metrics.counter("campaign.workers_spawned").add()
         self.metrics.gauge("campaign.workers_alive").set(
             sum(1 for w in self.slots.values() if w.proc.is_alive()))
@@ -241,11 +248,17 @@ class _Master:
             except (ProcessLookupError, OSError):  # pragma: no cover
                 pass
         worker.proc.join(5)
+        self.drain_pipe(worker)     # a result sent just before the kill counts
         self.metrics.counter("campaign.workers_killed").add()
         self.emit("kill", slot=worker.slot, worker=worker.uid,
                   reason=reason)
+        self.close_channels(worker)
+
+    def close_channels(self, worker: _Worker) -> None:
+        """Release a finished incarnation's task queue and result pipe."""
         worker.task_queue.cancel_join_thread()
         worker.task_queue.close()
+        worker.results.close()
 
     def shutdown_workers(self, graceful: bool) -> None:
         for worker in list(self.slots.values()):
@@ -263,8 +276,7 @@ class _Master:
             if worker.proc.is_alive():       # pragma: no cover - stubborn
                 worker.proc.kill()
                 worker.proc.join(1)
-            worker.task_queue.cancel_join_thread()
-            worker.task_queue.close()
+            self.close_channels(worker)
         self.metrics.gauge("campaign.workers_alive").set(0)
 
     # -- cell accounting -------------------------------------------------
@@ -326,8 +338,8 @@ class _Master:
             self.pending.push(cell,
                               time.monotonic() + self.backoff(cell.cell_id))
 
-    def record_done(self, uid: int, cell_id: str, attempt: int, row: dict,
-                    wall: float) -> None:
+    def record_done(self, worker: _Worker, cell_id: str, attempt: int,
+                    row: dict, wall: float) -> None:
         journal = self.journal
         assert journal is not None
         if cell_id in journal.done:
@@ -340,10 +352,8 @@ class _Master:
         self.busy_seconds += wall
         self.metrics.counter("campaign.cells_done").add()
         self.metrics.histogram("campaign.cell_seconds").observe(wall)
-        worker = self.by_uid.get(uid)
-        if worker is not None:
-            self.metrics.counter(
-                f"campaign.worker.{worker.slot}.cells_done").add()
+        self.metrics.counter(
+            f"campaign.worker.{worker.slot}.cells_done").add()
         # Throughput + ETA over this run's wall clock (resumed cells cost
         # nothing, so the rate only counts cells actually computed here).
         rate = None
@@ -390,44 +400,58 @@ class _Master:
     # -- the loop --------------------------------------------------------
 
     def drain_results(self) -> None:
-        block = True
-        while True:
+        """Wait up to one poll interval for any worker's pipe, then
+        handle everything readable on every pipe."""
+        by_pipe = {w.results: w for w in self.slots.values()
+                   if not w.results.closed}
+        for pipe in wait(list(by_pipe), timeout=_POLL):
+            self.drain_pipe(by_pipe[pipe])
+
+    def drain_pipe(self, worker: _Worker) -> None:
+        """Handle every whole message waiting on *worker*'s pipe.
+
+        A pipe at EOF, or holding a message torn by a kill mid-write, is
+        closed: its worker is dead, and the liveness pass requeues its
+        cell.
+        """
+        pipe = worker.results
+        while not pipe.closed and pipe.poll():
             try:
-                message = self.result_queue.get(
-                    timeout=_POLL if block else 0.0)
-            except queue_module.Empty:
+                message = pipe.recv()
+            except (EOFError, OSError):
+                pipe.close()
                 return
-            block = False
-            kind, uid = message[0], message[1]
-            worker = self.by_uid.get(uid)
-            current = worker is not None and self.slots.get(
-                worker.slot) is worker
-            if worker is not None and current:
-                worker.last_seen = time.monotonic()
-            if kind in ("beat", "exiting"):
-                continue
-            if kind == "started":
-                continue
-            cell_id, attempt = message[2], message[3]
-            if kind == "done":
-                row, wall = message[4], message[5]
-                self.record_done(uid, cell_id, attempt, row, wall)
-                self.maybe_unleash_chaos()
-            elif kind == "failed":
-                if not (current and worker is not None and worker.assignment
-                        and worker.assignment[0].cell_id == cell_id):
-                    continue    # stale failure: already requeued as crash
-                error = message[4]
-                self.record_failure(worker.assignment[0], attempt, error)
-            if (current and worker is not None and worker.assignment
-                    and worker.assignment[0].cell_id == cell_id):
-                worker.assignment = None
+            self.handle(worker, message)
+
+    def handle(self, worker: _Worker, message: tuple) -> None:
+        """Act on one message from *worker*, the current incarnation of
+        its slot (a pipe is closed once its worker leaves the slot)."""
+        worker.last_seen = time.monotonic()
+        kind = message[0]
+        if kind in ("beat", "exiting", "started"):
+            return
+        cell_id, attempt = message[2], message[3]
+        assignment = worker.assignment
+        if assignment is None or assignment[0].cell_id != cell_id:
+            assignment = None
+        if kind == "done":
+            row, wall = message[4], message[5]
+            self.record_done(worker, cell_id, attempt, row, wall)
+            self.maybe_unleash_chaos()
+        elif kind == "failed":
+            if assignment is None:
+                return      # stale failure: already requeued as crash
+            self.record_failure(assignment[0], attempt, message[4])
+        if assignment is not None:
+            worker.assignment = None
 
     def check_liveness(self) -> None:
         now = time.monotonic()
         for slot, worker in list(self.slots.items()):
             if not worker.proc.is_alive():
                 worker.proc.join(0)
+                # whatever it finished before dying still counts
+                self.drain_pipe(worker)
                 self.metrics.counter("campaign.workers_crashed").add()
                 self.emit("crash", slot=slot, worker=worker.uid)
                 if worker.assignment is not None:
@@ -435,8 +459,7 @@ class _Master:
                     worker.assignment = None
                     if not self.finished(cell.cell_id):
                         self.requeue_interrupted(cell, attempt, "crash")
-                worker.task_queue.cancel_join_thread()
-                worker.task_queue.close()
+                self.close_channels(worker)
                 del self.slots[slot]
                 if self.work_remains():
                     self.spawn_worker(slot)

@@ -368,8 +368,8 @@ def main(argv: Iterable[str] | None = None) -> int:
                              "simulated outcomes must be identical across "
                              "them")
     parser.add_argument("--profile", action="store_true",
-                        help="bench only: additionally profile one run "
-                             "under cProfile and write BENCH_<target>"
+                        help="bench only: also write the profiled run "
+                             "behind the attribution table as BENCH_<target>"
                              ".pstats + .folded collapsed stacks")
     parser.add_argument("--bench-dir", type=Path, default=None, metavar="DIR",
                         help="bench only: where to write BENCH_<target>"
@@ -500,7 +500,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         print(f"# wrote {path}")
         if args.profile:
             pstats_path, folded_path = bench_mod.write_profile(
-                name, scale, bench_dir)
+                result, bench_dir)
             print(f"# wrote {pstats_path}")
             print(f"# wrote {folded_path}")
         print(f"# wall time: {time.perf_counter() - started:.1f} s")

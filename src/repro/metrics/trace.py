@@ -22,10 +22,10 @@ __all__ = ["TraceRecorder"]
 class TraceRecorder:
     """Collects step series keyed by (metric, node, apprank).
 
-    Point events (faults, recoveries, fallbacks) are stored on a private
-    :class:`repro.obs.bus.EventBus` rather than a bare list, so the same
-    structured records feed the Paraver point-event export and the legacy
-    tuple view (:attr:`events`). The import is lazy on purpose: a recorder
+    Point events (faults, recoveries, fallbacks) are stored as instants
+    on a private :class:`repro.obs.bus.EventBus` (:attr:`bus`), the
+    records the Paraver point-event export reads. The import is lazy on
+    purpose: a recorder
     only exists on traced runs, and untraced runs must never load
     :mod:`repro.obs` (the zero-overhead guarantee).
     """
@@ -68,21 +68,6 @@ class TraceRecorder:
             raise ReproError("'apprank' is a positional add_event parameter")
         self.bus.emit_instant(kind, CAT_TRACE, Track(node, "trace"),
                               time=now, apprank=apprank, **detail)
-
-    @property
-    def events(self) -> list[tuple[float, str, int, int, dict]]:
-        """Legacy tuple view: (time, kind, node, apprank, detail) records."""
-        out = []
-        for instant in self.bus.instants:
-            detail = dict(instant.args)
-            apprank = detail.pop("apprank", -1)
-            out.append((instant.time, instant.name, instant.track.node,
-                        apprank, detail))
-        return out
-
-    def events_of(self, kind: str) -> list[tuple[float, str, int, int, dict]]:
-        """All recorded point events of one kind, in occurrence order."""
-        return [e for e in self.events if e[1] == kind]
 
     # -- queries -----------------------------------------------------------
 

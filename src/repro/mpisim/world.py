@@ -112,16 +112,6 @@ class MpiWorld:
 
     def _post_send(self, env: Envelope) -> Request:
         """Start a send; returns the sender-side request."""
-        perf = self.sim.perf
-        if perf is None:
-            return self._post_send_impl(env)
-        perf.begin("mpisim.delivery")
-        try:
-            return self._post_send_impl(env)
-        finally:
-            perf.end()
-
-    def _post_send_impl(self, env: Envelope) -> Request:
         request = Request(self.sim, "send")
         self._account(env.src, env.dst, env.nbytes)
         if self.validator is not None:
@@ -153,18 +143,6 @@ class MpiWorld:
 
     def _arrive_eager(self, env: Envelope,
                       sent_at: Optional[float] = None) -> None:
-        perf = self.sim.perf
-        if perf is None:
-            self._arrive_eager_impl(env, sent_at)
-            return
-        perf.begin("mpisim.delivery")
-        try:
-            self._arrive_eager_impl(env, sent_at)
-        finally:
-            perf.end()
-
-    def _arrive_eager_impl(self, env: Envelope,
-                           sent_at: Optional[float] = None) -> None:
         if self.fault_model is not None and not self.fault_model.accept(env):
             return      # duplicate of a message already delivered
         if self.validator is not None:
@@ -183,17 +161,6 @@ class MpiWorld:
             recv.request._complete(env.payload)
 
     def _arrive_rendezvous(self, pending: _PendingSend) -> None:
-        perf = self.sim.perf
-        if perf is None:
-            self._arrive_rendezvous_impl(pending)
-            return
-        perf.begin("mpisim.delivery")
-        try:
-            self._arrive_rendezvous_impl(pending)
-        finally:
-            perf.end()
-
-    def _arrive_rendezvous_impl(self, pending: _PendingSend) -> None:
         env = pending.envelope
         if self.validator is not None:
             self.validator.msg_delivered(env)
@@ -221,17 +188,6 @@ class MpiWorld:
                           priority=EventPriority.DELIVERY, label="rdv-send-complete")
 
     def _post_recv(self, dst_w: int, src_w: int, tag: int, comm_id: int) -> Request:
-        perf = self.sim.perf
-        if perf is None:
-            return self._post_recv_impl(dst_w, src_w, tag, comm_id)
-        perf.begin("mpisim.delivery")
-        try:
-            return self._post_recv_impl(dst_w, src_w, tag, comm_id)
-        finally:
-            perf.end()
-
-    def _post_recv_impl(self, dst_w: int, src_w: int, tag: int,
-                        comm_id: int) -> Request:
         request = Request(self.sim, "recv")
         endpoint = self._endpoint(dst_w)
         hit = endpoint.match_recv(src_w, tag, comm_id)

@@ -83,11 +83,6 @@ class RuntimeConfig:
     #: events or consumes randomness), so enabling it does not perturb
     #: timing. Off by default — disabled runs never import the subsystem.
     validate: bool = False
-    #: wall-clock self-profiling (:mod:`repro.perf`): phase timers and
-    #: per-subsystem attribution on the *host* clock. Only ever reads
-    #: ``time.perf_counter()``, so arming it cannot perturb the simulated
-    #: run. Off by default — disabled runs never import the subsystem.
-    perf: bool = False
     #: record busy/owned trace timelines (costs memory; used by Figs 5/9/11)
     trace: bool = False
     #: ownership sampling period for traces, seconds

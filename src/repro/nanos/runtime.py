@@ -14,7 +14,6 @@ completion with :meth:`ClusterRuntime.run_app`.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Callable, Generator, Optional
 
 from ..balance.dynamic import DynamicSpreader
@@ -54,7 +53,6 @@ class ClusterRuntime:
                  config: RuntimeConfig,
                  faults: Optional[FaultPlan] = None,
                  home_nodes: Optional[int] = None) -> None:
-        t_setup = perf_counter()
         self.spec = spec
         self.config = config
         self.num_appranks = num_appranks
@@ -88,13 +86,6 @@ class ClusterRuntime:
             from ..validate import Sanitizer
             self.validator = Sanitizer(self.sim, obs=self.obs)
             self.sim.validator = self.validator
-        #: wall-clock recorder (lazily imported like obs; reads only the
-        #: host clock, so arming it cannot perturb the simulated run)
-        self.perf = None
-        if config.perf:
-            from ..perf import PerfRecorder
-            self.perf = PerfRecorder()
-            self.sim.perf = self.perf
         self.talp = TalpModule(spec.total_cores)
 
         # One lend/reclaim policy instance per node mirrors the per-node
@@ -107,7 +98,7 @@ class ClusterRuntime:
                 obs=self.obs,
                 lend_policy=LEND_POLICIES.create(config.lend_policy),
                 reclaim_policy=RECLAIM_POLICIES.create(config.reclaim_policy),
-                validator=self.validator, perf=self.perf)
+                validator=self.validator)
             for node in self.cluster.nodes
         }
         self.lewi = LewiModule(self.arbiters, enabled=config.lewi)
@@ -155,8 +146,6 @@ class ClusterRuntime:
         self.faults: Optional[FaultInjector] = (
             FaultInjector(self, faults)
             if faults is not None and not faults.empty else None)
-        if self.perf is not None:
-            self.perf.add_phase("setup", perf_counter() - t_setup)
 
     # -- construction -------------------------------------------------------
 
@@ -462,8 +451,6 @@ class ClusterRuntime:
         Returns each apprank's return value; ``self.elapsed`` holds the
         simulated time-to-solution.
         """
-        perf = self.perf
-        t_mark = perf_counter()
         self.start()
         remaining = self.num_appranks
         results: list[Any] = [None] * self.num_appranks
@@ -481,54 +468,36 @@ class ClusterRuntime:
         for process in processes:
             process._subscribe(self.sim, on_done)
 
-        events_before = self.sim.events_fired
-        if perf is not None:
-            now = perf_counter()
-            perf.add_phase("setup", now - t_mark)
-            t_mark = now
-            # One dispatch frame around the whole drain: nested subsystem
-            # frames subtract from it, so attribution is identical to the
-            # old per-event framing at none of the per-event clock cost.
-            perf.begin("engine.dispatch")
-        try:
-            sim = self.sim
-            if sim._validator is None:
-                # Inlined drain: same loop as Simulator.run's fast path,
-                # with the apprank-completion counter as the stop test.
-                queue = sim._queue
-                pop = queue.pop
-                fired = 0
-                try:
-                    while remaining > 0:
-                        if not queue._live:
-                            stuck = [p.name for p in processes if not p.done]
-                            raise SimulationError(
-                                "deadlock: appranks never finished: "
-                                f"{', '.join(stuck)}")
-                        event = pop()
-                        sim._now = event.time
-                        fired += 1
-                        event.callback()
-                finally:
-                    sim.events_fired += fired
-            else:
-                step = sim.step
+        sim = self.sim
+        if sim._validator is None:
+            # Inlined drain: same loop as Simulator.run's fast path, with
+            # the apprank-completion counter as the stop test.
+            queue = sim._queue
+            pop = queue.pop
+            fired = 0
+            try:
                 while remaining > 0:
-                    if not step():
+                    if not queue._live:
                         stuck = [p.name for p in processes if not p.done]
                         raise SimulationError(
-                            f"deadlock: appranks never finished: "
+                            "deadlock: appranks never finished: "
                             f"{', '.join(stuck)}")
-            self.stop()
-            self.sim.run()   # drain task completions of fire-and-forget apps
-        finally:
-            if perf is not None:
-                perf.end()
-        if perf is not None:
-            now = perf_counter()
-            perf.add_phase("event_loop", now - t_mark)
-            perf.events_processed += self.sim.events_fired - events_before
-            t_mark = now
+                    event = pop()
+                    sim._now = event.time
+                    fired += 1
+                    event.callback()
+            finally:
+                sim.events_fired += fired
+        else:
+            step = sim.step
+            while remaining > 0:
+                if not step():
+                    stuck = [p.name for p in processes if not p.done]
+                    raise SimulationError(
+                        f"deadlock: appranks never finished: "
+                        f"{', '.join(stuck)}")
+        self.stop()
+        sim.run()   # drain task completions of fire-and-forget apps
         self.elapsed = self.sim.now
         if self.obs is not None:
             self.obs.finish(self.elapsed)
@@ -536,8 +505,6 @@ class ClusterRuntime:
             self.validator.finish(self)
         for i, process in enumerate(processes):
             results[i] = process.result
-        if perf is not None:
-            perf.add_phase("teardown", perf_counter() - t_mark)
         return results
 
     # -- reporting --------------------------------------------------------

@@ -40,7 +40,7 @@ CAT_FAULT = "fault"
 CAT_SCHED = "sched"
 #: simulator processes and run-level markers
 CAT_RUNTIME = "runtime"
-#: legacy TraceRecorder point events (kept for the paper figures)
+#: TraceRecorder point events (faults, recoveries, fallbacks)
 CAT_TRACE = "trace"
 
 

@@ -1,33 +1,27 @@
-"""Wall-clock performance observability (the real-time twin of `repro.obs`).
+"""Wall-clock performance measurement of the simulator itself.
 
-:mod:`repro.obs` makes the *simulated* world observable; this package makes
-the **simulator itself** observable on the wall clock, so the perf
-trajectory of the codebase can be tracked across PRs and the planned
-event-core rewrite can prove its throughput claims against committed
-baselines.
+:mod:`repro.obs` makes the *simulated* world observable; this package
+measures the **simulator** on the host clock, so the perf trajectory of
+the codebase can be tracked across changes against committed baselines.
+Nothing in the simulator carries wall-clock hooks: every number here is
+taken from outside the run.
 
 Three parts:
 
-* :class:`PerfRecorder` — lightweight self-instrumentation: phase timers
-  (setup / event loop / teardown) and per-subsystem wall-clock attribution
-  (engine dispatch, scheduler, DLB arbitration, MPI delivery, policy
-  calls, sanitizer overhead) via explicit hooks in the hot paths. Armed by
-  ``RuntimeConfig(perf=True)``; with it off, runs never even import this
-  package and are bit-identical to the seed (the same zero-overhead
-  contract :mod:`repro.obs` keeps).
+* :class:`PerfRecorder` — one run's measurement: phase timers (setup /
+  event loop / teardown) read around the public calls, the event count,
+  and per-subsystem buckets filled from one :mod:`cProfile` pass by
+  module (:data:`~repro.perf.recorder.SUBSYSTEM_MODULES`).
 * :mod:`repro.perf.bench` — the ``python -m repro bench`` harness: runs
   pinned workloads, measures events/sec, per-phase wall-clock, peak RSS
   and per-subsystem shares, and writes schema-versioned, environment-
-  stamped ``BENCH_<target>.json`` files that accumulate across PRs.
+  stamped ``BENCH_<target>.json`` files that accumulate across changes.
 * :mod:`repro.perf.compare` — the noise-aware regression comparator
   behind ``tools/compare_bench.py``: diffs a fresh run against a
   committed baseline with improvement / regression / within-noise
-  verdicts (report-only in CI, a gate locally).
+  verdicts.
 
-The recorder only ever reads ``time.perf_counter()`` — it never touches
-the simulated clock, the RNG streams, or the event queue — so arming it
-cannot perturb a run: even perf-*on* runs stay bit-identical to the seed
-(asserted by the golden-parity tests).
+A plain simulation never imports this package.
 """
 
 from .recorder import PERF_SUBSYSTEMS, PerfRecorder

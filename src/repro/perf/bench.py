@@ -2,22 +2,27 @@
 
 Each target is one representative workload (the same configurations
 ``python -m repro trace`` records, minus the instrumentation) run with
-``config.perf=True`` and *nothing else* armed — no obs, no trace, no
-validation — so the wall clock measures the simulator, not its taps.
-A bench run:
+nothing armed — no obs, no trace, no validation — and timed from
+outside: ``setup`` is ``ClusterRuntime`` construction, ``event_loop`` is
+``run_app``, ``teardown`` is reading the simulated outcome, and events
+come from ``Simulator.events_fired``. Building the app (workload
+generation) is not timed. A bench run:
 
 1. executes the target ``repeat`` times at a pinned scale/seed,
-2. asserts the *simulated* outcome (makespan, events, tasks, messages)
-   is identical across repeats — determinism is part of the measurement
-   contract, a drifting simulation makes the wall-clock numbers garbage,
-3. writes a schema-versioned, environment-stamped ``BENCH_<target>.json``
+2. runs it once more under :mod:`cProfile` (``run_app`` only) and
+   attributes the loop to subsystems by module
+   (:func:`~repro.perf.recorder.profile_buckets`),
+3. asserts the *simulated* outcome (makespan, events, tasks, messages)
+   is identical across all of those runs — determinism is part of the
+   measurement contract, a drifting simulation makes the wall-clock
+   numbers garbage,
+4. writes a schema-versioned, environment-stamped ``BENCH_<target>.json``
    next to the repo root (or ``--bench-dir``), the committed perf
    trajectory that ``tools/compare_bench.py`` diffs against.
 
-The optional profile mode re-runs the target once under
-:mod:`cProfile` and exports a pstats dump plus collapsed stacks
-(``caller;callee count microseconds`` folded lines) for flamegraph
-tooling.
+:func:`write_profile` exports that same profiler run as a pstats dump
+plus collapsed stacks (``caller;callee microseconds`` folded lines) for
+flamegraph tooling.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ import os
 import platform
 import pstats
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Callable, Optional
 
 from .. import __version__
@@ -38,24 +44,36 @@ from ..apps.micropp.workload import MicroppSpec, make_micropp_app
 from ..apps.nbody.workload import NBodySpec, make_nbody_app
 from ..apps.synthetic import SyntheticSpec, make_synthetic_app
 from ..cluster.machine import MARENOSTRUM4, NORD3
+from ..cluster.topology import ClusterSpec
 from ..errors import ExperimentError
-from ..experiments.base import SMALL, RunResult, Scale, run_workload
+from ..experiments.base import SMALL, Scale
 from ..nanos.config import RuntimeConfig
-from .recorder import PERF_PHASES, PerfRecorder, peak_rss_bytes
+from ..nanos.runtime import ClusterRuntime
+from .recorder import PERF_PHASES, PerfRecorder, peak_rss_bytes, profile_buckets
 
 __all__ = ["BENCH_SCHEMA", "BENCH_TARGETS", "BenchResult", "run_bench",
            "bench_path", "write_profile"]
 
 #: Schema identifier stamped into every BENCH file; bump on breaking
 #: changes so the comparator can refuse cross-schema diffs.
-BENCH_SCHEMA = "repro-bench/1"
+BENCH_SCHEMA = "repro-bench/2"
 
 #: workloads ``python -m repro bench`` can measure
 BENCH_TARGETS = ("headline", "synthetic", "nbody")
 
 
-def _workload(name: str, scale: Scale) -> RunResult:
-    """Run the named pinned workload with only the perf recorder armed."""
+@dataclass(frozen=True)
+class _Workload:
+    """What one bench run builds: the cluster, the config and the app."""
+
+    cluster: ClusterSpec
+    num_appranks: int
+    config: RuntimeConfig
+    app: Callable[[], Any]
+
+
+def _workload(name: str, scale: Scale) -> _Workload:
+    """The named pinned workload."""
     if name == "headline":
         machine = scale.machine(MARENOSTRUM4)
         nodes = 8
@@ -63,33 +81,76 @@ def _workload(name: str, scale: Scale) -> RunResult:
             num_appranks=nodes, cores_per_apprank=machine.cores_per_node,
             subdomains_per_core=scale.micropp_subdomains_per_core,
             iterations=scale.iterations, seed=7)
-        config = scale.tune(RuntimeConfig.offloading(4, "global", perf=True))
-        return run_workload(machine, nodes, 1, config,
-                            lambda: make_micropp_app(spec))
+        return _Workload(ClusterSpec.homogeneous(machine, nodes), nodes,
+                         scale.tune(RuntimeConfig.offloading(4, "global")),
+                         lambda: make_micropp_app(spec))
     if name == "synthetic":
         machine = scale.machine(MARENOSTRUM4)
-        spec = SyntheticSpec(num_appranks=8, imbalance=2.0,
-                             cores_per_apprank=machine.cores_per_node,
-                             tasks_per_core=scale.tasks_per_core,
-                             iterations=scale.iterations)
-        config = scale.tune(RuntimeConfig.offloading(4, "global", perf=True))
-        return run_workload(machine, 8, 1, config,
-                            lambda: make_synthetic_app(spec))
+        synth = SyntheticSpec(num_appranks=8, imbalance=2.0,
+                              cores_per_apprank=machine.cores_per_node,
+                              tasks_per_core=scale.tasks_per_core,
+                              iterations=scale.iterations)
+        return _Workload(ClusterSpec.homogeneous(machine, 8), 8,
+                         scale.tune(RuntimeConfig.offloading(4, "global")),
+                         lambda: make_synthetic_app(synth))
     if name == "nbody":
         nord = scale.machine(NORD3)
         nodes, per_node = 8, 2
-        spec = NBodySpec(
+        body = NBodySpec(
             num_appranks=nodes * per_node,
             cores_per_apprank=nord.cores_per_node // per_node,
             bodies_per_apprank=(64 * scale.tasks_per_core
                                 * (nord.cores_per_node // per_node) // 2),
             bodies_per_task=64, timesteps=scale.iterations)
-        config = scale.tune(RuntimeConfig.offloading(3, "global", perf=True))
-        slow = {0: 1.8 / NORD3.base_freq_ghz}
-        return run_workload(nord, nodes, per_node, config,
-                            lambda: make_nbody_app(spec), slow_nodes=slow)
+        cluster = ClusterSpec.homogeneous(nord, nodes).with_slow_nodes(
+            {0: 1.8 / NORD3.base_freq_ghz})
+        return _Workload(cluster, nodes * per_node,
+                         scale.tune(RuntimeConfig.offloading(3, "global")),
+                         lambda: make_nbody_app(body))
     raise ExperimentError(f"unknown bench target {name!r} "
                           f"(choose from {BENCH_TARGETS})")
+
+
+def _measure(work: _Workload, profiler: Optional[cProfile.Profile] = None
+             ) -> tuple[PerfRecorder, dict[str, Any]]:
+    """Run *work* once, timing its phases from outside.
+
+    With *profiler*, only ``run_app`` runs under it. The cyclic garbage
+    collector is paused for the run (a full collection runs first): the
+    simulator allocates heavily on the event hot path, and generational
+    collections firing mid-loop would make the measurement depend on
+    allocator history rather than on the event core. This is
+    measurement hygiene only; it cannot affect the simulated outcome.
+    """
+    rec = PerfRecorder()
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = perf_counter()
+        runtime = ClusterRuntime(work.cluster, work.num_appranks, work.config)
+        t1 = perf_counter()
+        main = work.app()
+        events_before = runtime.sim.events_fired
+        t2 = perf_counter()
+        if profiler is not None:
+            profiler.enable()
+        try:
+            runtime.run_app(main)
+        finally:
+            if profiler is not None:
+                profiler.disable()
+        t3 = perf_counter()
+        fingerprint = _simulated_fingerprint(runtime)
+        t4 = perf_counter()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    rec.add_phase("setup", t1 - t0)
+    rec.add_phase("event_loop", t3 - t2)
+    rec.add_phase("teardown", t4 - t3)
+    rec.events_processed = runtime.sim.events_fired - events_before
+    return rec, fingerprint
 
 
 def _environment() -> dict[str, Any]:
@@ -105,9 +166,9 @@ def _environment() -> dict[str, Any]:
     }
 
 
-def _simulated_fingerprint(result: RunResult) -> dict[str, Any]:
+def _simulated_fingerprint(runtime: ClusterRuntime) -> dict[str, Any]:
     """The deterministic outcome of one run (identical across repeats)."""
-    stats = result.runtime.stats()
+    stats = runtime.stats()
     return {
         "elapsed": stats["elapsed"],
         "events": stats["events"],
@@ -125,13 +186,17 @@ def _spread(values: list[float]) -> dict[str, float]:
 
 @dataclass
 class BenchResult:
-    """One bench measurement: repeats of one target at one scale."""
+    """One bench measurement: repeats of one target at one scale, plus
+    the profiled run its subsystem attribution comes from."""
 
     target: str
     scale: str
     repeat: int
     simulated: dict[str, Any]
-    recorders: list[PerfRecorder] = field(default_factory=list)
+    recorders: list[PerfRecorder]
+    #: the extra run under cProfile; its buckets are filled
+    profiled: PerfRecorder
+    profiler: cProfile.Profile
 
     def record(self) -> dict[str, Any]:
         """The schema-versioned JSON document for ``BENCH_<target>.json``."""
@@ -141,21 +206,6 @@ class BenchResult:
         phases = {name: _spread([r.phases.get(name, 0.0)
                                  for r in self.recorders])
                   for name in PERF_PHASES}
-        # Subsystem attribution is averaged over the repeats; call counts
-        # are deterministic, so any repeat's value is *the* value.
-        names = sorted({n for r in self.recorders for n in r.attribution()})
-        subsystems = {}
-        for name in names:
-            # tolerate a bucket appearing in only some repeats (a new
-            # subsystem registered mid-series must not KeyError the record)
-            per_run = [a[name] for a in (r.attribution()
-                                         for r in self.recorders)
-                       if name in a]
-            subsystems[name] = {
-                "self_s": sum(p["self_s"] for p in per_run) / len(per_run),
-                "share": sum(p["share"] for p in per_run) / len(per_run),
-                "calls": int(per_run[0]["calls"]),
-            }
         return {
             "schema": BENCH_SCHEMA,
             "target": self.target,
@@ -170,7 +220,8 @@ class BenchResult:
                 "events_per_sec": _spread(rates),
                 "events_processed": self.recorders[0].events_processed,
                 "peak_rss_bytes": peak_rss_bytes(),
-                "subsystems": subsystems,
+                "profiled_loop_s": self.profiled.loop_seconds(),
+                "subsystems": self.profiled.attribution(),
             },
         }
 
@@ -192,7 +243,8 @@ class BenchResult:
         if wall["peak_rss_bytes"] is not None:
             lines.append(
                 f"  peak RSS        {wall['peak_rss_bytes'] / 2**20:>12.1f} MiB")
-        lines.append("  subsystem attribution (exclusive, share of loop):")
+        lines.append("  subsystem attribution (cProfile self time, share of "
+                     f"the {wall['profiled_loop_s']:.4f}s profiled loop):")
         for name, entry in sorted(wall["subsystems"].items(),
                                   key=lambda kv: -kv[1]["self_s"]):
             lines.append(f"    {name:<20} {entry['self_s']:>9.4f}s "
@@ -207,55 +259,40 @@ def bench_path(target: str, bench_dir: "Path | str" = ".") -> Path:
 
 def run_bench(target: str, scale: Scale = SMALL, repeat: int = 3,
               progress: Optional[Callable[[str], None]] = None) -> BenchResult:
-    """Measure *target* ``repeat`` times; returns the aggregated result.
+    """Measure *target* ``repeat`` times plus one profiled run.
 
-    Each repeat runs with the cyclic garbage collector paused (a full
-    collection runs *between* repeats instead): the simulator allocates
-    heavily on the event hot path, and letting generational collections
-    fire mid-loop both slows the loop and makes the measurement depend on
-    allocator history rather than on the event core. Pausing the collector
-    is measurement hygiene only — it cannot affect the simulated outcome,
-    which is asserted identical across repeats regardless.
-
-    Raises :class:`~repro.errors.ExperimentError` if the simulated outcome
-    differs between repeats (a determinism break) or a repeat finishes
-    with unbalanced begin/end perf frames (an instrumentation bug).
+    Raises :class:`~repro.errors.ExperimentError` if the simulated
+    outcome differs between any two of those runs (a determinism break).
     """
     if repeat < 1:
         raise ExperimentError(f"repeat must be >= 1, got {repeat}")
     if target not in BENCH_TARGETS:
         raise ExperimentError(f"unknown bench target {target!r} "
                               f"(choose from {BENCH_TARGETS})")
-    recorders: list[PerfRecorder] = []
     fingerprint: Optional[dict[str, Any]] = None
-    for i in range(repeat):
+
+    def measure(label: str, profiler: Optional[cProfile.Profile] = None
+                ) -> PerfRecorder:
+        nonlocal fingerprint
         if progress is not None:
-            progress(f"bench {target}: run {i + 1}/{repeat}")
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            result = _workload(target, scale)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        recorder = result.runtime.perf
-        if recorder is None:
-            raise ExperimentError("bench run built without config.perf")
-        if not recorder.balanced:
-            raise ExperimentError(
-                f"bench {target!r}: unbalanced perf begin/end frames")
-        current = _simulated_fingerprint(result)
+            progress(f"bench {target}: {label}")
+        rec, current = _measure(_workload(target, scale), profiler)
         if fingerprint is None:
             fingerprint = current
         elif current != fingerprint:
             raise ExperimentError(
                 f"bench {target!r}: simulated outcome drifted between "
                 f"repeats: {fingerprint} != {current}")
-        recorders.append(recorder)
+        return rec
+
+    recorders = [measure(f"run {i + 1}/{repeat}") for i in range(repeat)]
+    profiler = cProfile.Profile()
+    profiled = measure("profiled run", profiler)
+    profiler.create_stats()
+    profiled.buckets, profiled.calls = profile_buckets(profiler.stats)
     return BenchResult(target=target, scale=scale.name, repeat=repeat,
-                       simulated=fingerprint, recorders=recorders)
+                       simulated=fingerprint, recorders=recorders,
+                       profiled=profiled, profiler=profiler)
 
 
 def write_record(result: BenchResult, bench_dir: "Path | str" = ".") -> Path:
@@ -267,27 +304,23 @@ def write_record(result: BenchResult, bench_dir: "Path | str" = ".") -> Path:
     return path
 
 
-# -- optional stdlib-profiler mode ------------------------------------------
+# -- profile export ------------------------------------------------------------
 
-def write_profile(target: str, scale: Scale = SMALL,
+def write_profile(result: BenchResult,
                   bench_dir: "Path | str" = ".") -> tuple[Path, Path]:
-    """Profile one run of *target* under :mod:`cProfile`.
+    """Export the profiled run of *result*.
 
     Writes ``BENCH_<target>.pstats`` (binary, for ``pstats``/snakeviz)
     and ``BENCH_<target>.folded`` (collapsed ``caller;callee`` stacks,
     one per line with sample weights in microseconds — flamegraph
     input). Returns both paths.
     """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    _workload(target, scale)
-    profiler.disable()
     base = Path(bench_dir)
     base.mkdir(parents=True, exist_ok=True)
-    pstats_path = base / f"BENCH_{target}.pstats"
-    folded_path = base / f"BENCH_{target}.folded"
-    profiler.dump_stats(pstats_path)
-    stats = pstats.Stats(str(pstats_path), stream=sys.stderr)
+    pstats_path = base / f"BENCH_{result.target}.pstats"
+    folded_path = base / f"BENCH_{result.target}.folded"
+    result.profiler.dump_stats(pstats_path)
+    stats = pstats.Stats(result.profiler, stream=sys.stderr)
     folded_path.write_text("".join(_folded_lines(stats)), encoding="utf-8")
     return pstats_path, folded_path
 

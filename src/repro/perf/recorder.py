@@ -1,141 +1,99 @@
-"""The wall-clock self-instrumentation recorder.
+"""One bench repeat's wall-clock measurement, taken from outside the run.
 
-One :class:`PerfRecorder` per :class:`~repro.nanos.runtime.ClusterRuntime`
-accumulates three kinds of measurement, all on ``time.perf_counter()``:
+The simulator carries no wall-clock hooks. The bench harness
+(:mod:`repro.perf.bench`) times each repeat around the public calls and
+stores the result in a :class:`PerfRecorder`:
 
-* **phases** — coarse additive timers for ``setup`` (stack construction +
-  policy arming), ``event_loop`` (the simulator drain) and ``teardown``
-  (policy stop, obs/validator finish, result collection);
-* **subsystem buckets** — *exclusive* (self) wall-clock per subsystem,
-  maintained by a begin/end stack: time spent in a nested hook is charged
-  to the inner bucket and subtracted from the outer one, so the buckets
-  partition the instrumented time and their sum (plus the uninstrumented
-  ``other`` remainder) reconstructs the event-loop total;
-* **counters** — events processed (read off ``Simulator.events_fired``
-  around the loop) and per-bucket call counts.
-
-The hot-path API is deliberately two plain methods (:meth:`begin` /
-:meth:`end`) rather than a context manager: the event loop calls them
-once per event and ``contextlib`` overhead would double the cost of the
-hook. Cold paths can use the :meth:`section` context manager.
-
-Everything here reads the wall clock and nothing else — no simulated
-time, no RNG, no event scheduling — so recording cannot perturb the
-simulation (the bit-identical guarantee the parity tests assert).
+* **phases** — ``setup`` (``ClusterRuntime`` construction),
+  ``event_loop`` (``run_app``) and ``teardown`` (reading the simulated
+  outcome);
+* **events** — ``Simulator.events_fired`` across ``run_app``;
+* **subsystem buckets** — filled only for the one profiled repeat:
+  :func:`profile_buckets` sums :mod:`cProfile`'s self time per function
+  into a bucket chosen by the function's module (:data:`SUBSYSTEM_MODULES`).
+  :meth:`PerfRecorder.attribution` charges the rest of the loop to
+  ``other``, so the shares sum to 1.
 """
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Any, Iterator, Optional
+from pathlib import Path
+from typing import Any, Optional
 
-__all__ = ["PerfRecorder", "PERF_SUBSYSTEMS"]
+__all__ = ["PerfRecorder", "PERF_SUBSYSTEMS", "PERF_PHASES",
+           "SUBSYSTEM_MODULES", "profile_buckets", "peak_rss_bytes"]
 
-#: The attribution vocabulary: every hook charges one of these buckets.
-#: ``other`` is not a hook — it is the computed remainder of the event
-#: loop (queue pops, process stepping, uninstrumented callbacks).
-PERF_SUBSYSTEMS = (
-    "engine.dispatch",      # event callbacks fired by Simulator.step
-    "nanos.scheduler",      # placement mechanism: on_ready/drain/steal
-    "dlb.arbitration",      # NodeArbiter: acquire/lend/release/DROM moves
-    "mpisim.delivery",      # message post/arrival/rendezvous machinery
-    "policies",             # pure strategy calls (offload/LeWI/DROM)
-    "validate.sanitizer",   # in-line invariant checks per fired event
+#: Module prefix -> attribution bucket; a function's self time goes to the
+#: bucket of the first prefix its module matches, and to ``other`` if none.
+SUBSYSTEM_MODULES = (
+    ("repro.sim", "engine"),                    # event queue + dispatch
+    ("repro.nanos.scheduler", "nanos.scheduler"),
+    ("repro.dlb", "dlb"),                       # LeWI/DROM arbitration
+    ("repro.mpisim", "mpisim"),                 # message delivery
+    ("repro.policies", "policies"),             # pure strategies ...
+    ("repro.balance", "policies"),              # ... and their drivers
+    ("repro.validate", "validate"),             # sanitizer checks
 )
+
+#: The attribution vocabulary. ``other`` is not listed: it is the
+#: computed remainder of the loop.
+PERF_SUBSYSTEMS = tuple(dict.fromkeys(b for _, b in SUBSYSTEM_MODULES))
 
 #: Phase names in reporting order.
 PERF_PHASES = ("setup", "event_loop", "teardown")
 
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent.parent
+
+
+def _bucket_of(filename: str) -> Optional[str]:
+    """The bucket of the repro module defined in *filename*, if any."""
+    try:
+        rel = Path(filename).resolve().relative_to(_PACKAGE_ROOT)
+    except ValueError:
+        return None     # builtins ("~"), stdlib, numpy, ...
+    module = ".".join(rel.with_suffix("").parts)
+    for prefix, bucket in SUBSYSTEM_MODULES:
+        if module == prefix or module.startswith(prefix + "."):
+            return bucket
+    return None
+
+
+def profile_buckets(stats: dict[tuple, tuple]
+                    ) -> tuple[dict[str, float], dict[str, int]]:
+    """Self seconds and call counts per bucket from ``pstats.Stats.stats``.
+
+    Functions outside every bucket are left out; they are what
+    :meth:`PerfRecorder.attribution` reports as ``other``.
+    """
+    buckets = dict.fromkeys(PERF_SUBSYSTEMS, 0.0)
+    calls = dict.fromkeys(PERF_SUBSYSTEMS, 0)
+    cache: dict[str, Optional[str]] = {}
+    for (filename, _line, _name), (_cc, ncalls, tottime, _ct, _callers) \
+            in stats.items():
+        if filename not in cache:
+            cache[filename] = _bucket_of(filename)
+        bucket = cache[filename]
+        if bucket is not None:
+            buckets[bucket] += tottime
+            calls[bucket] += ncalls
+    return buckets, calls
+
 
 class PerfRecorder:
-    """Accumulates wall-clock phases and exclusive subsystem buckets."""
+    """Phases, events and (when profiled) subsystem buckets of one run."""
 
-    __slots__ = ("phases", "buckets", "calls", "events_processed",
-                 "_stack", "_depth")
+    __slots__ = ("phases", "buckets", "calls", "events_processed")
 
     def __init__(self) -> None:
         self.phases: dict[str, float] = {}
         self.buckets: dict[str, float] = {}
         self.calls: dict[str, int] = {}
-        #: simulator events fired during the ``event_loop`` phase; set by
-        #: the runtime from ``Simulator.events_fired`` around the loop
         self.events_processed = 0
-        #: preallocated timing frames ([name, start, child_seconds]) plus
-        #: a depth cursor: frames are recycled across begin/end pairs so
-        #: the hooks never allocate — they fire thousands of times per
-        #: simulated second and a list build per frame is measurable.
-        self._stack: list[list[Any]] = []
-        self._depth = 0
-
-    # -- hot-path hooks ----------------------------------------------------
-
-    def begin(self, name: str) -> None:
-        """Open a timing frame for subsystem *name* (must be paired)."""
-        depth = self._depth
-        stack = self._stack
-        if depth == len(stack):
-            stack.append([None, 0.0, 0.0])
-        frame = stack[depth]
-        frame[0] = name
-        frame[2] = 0.0
-        self._depth = depth + 1
-        frame[1] = perf_counter()   # last: exclude our own setup time
-
-    def end(self) -> None:
-        """Close the innermost frame; charge its *exclusive* time.
-
-        The frame's full duration is propagated to the parent frame's
-        child accumulator, so nested hooks never double-count: a policy
-        call inside a scheduler hook lands in ``policies``, not both.
-        """
-        now = perf_counter()        # first: exclude our own teardown time
-        depth = self._depth - 1
-        name, start, child = self._stack[depth]
-        self._depth = depth
-        elapsed = now - start
-        buckets = self.buckets
-        buckets[name] = buckets.get(name, 0.0) + elapsed - child
-        calls = self.calls
-        calls[name] = calls.get(name, 0) + 1
-        if depth:
-            self._stack[depth - 1][2] += elapsed
-
-    def count(self, name: str) -> None:
-        """Record one call into bucket *name* without reading the clock.
-
-        Used by fast-path hooks that inline a subsystem's work into the
-        caller's frame: the call still shows up in the deterministic call
-        counts (and the bucket exists in the attribution table), but its
-        wall clock is charged to the enclosing frame instead of paying
-        two ``perf_counter()`` reads per call.
-        """
-        self.calls[name] = self.calls.get(name, 0) + 1
-        if name not in self.buckets:
-            self.buckets[name] = 0.0
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """Cold-path convenience wrapper around :meth:`begin`/:meth:`end`."""
-        self.begin(name)
-        try:
-            yield
-        finally:
-            self.end()
-
-    # -- phases ------------------------------------------------------------
 
     def add_phase(self, name: str, seconds: float) -> None:
         """Accumulate *seconds* of wall clock into phase *name*."""
         self.phases[name] = self.phases.get(name, 0.0) + seconds
-
-    # -- reporting ---------------------------------------------------------
-
-    @property
-    def balanced(self) -> bool:
-        """Whether every ``begin`` has been matched by an ``end``."""
-        return self._depth == 0
 
     def loop_seconds(self) -> float:
         """Wall-clock of the event-loop phase (0.0 before the run)."""
@@ -147,14 +105,10 @@ class PerfRecorder:
         return self.events_processed / loop if loop > 0 else 0.0
 
     def attribution(self) -> dict[str, dict[str, float]]:
-        """Per-subsystem exclusive seconds, shares and call counts.
+        """Per-bucket self seconds, shares of the loop and call counts.
 
-        Shares are fractions of the event-loop wall-clock. The ``other``
-        entry is the loop remainder not charged to any hook (event-queue
-        operations, generator stepping, uninstrumented callbacks), so the
-        shares sum to 1 by construction — the property the bench schema
-        test asserts to ±5% (the slack covers clock resolution on
-        sub-millisecond loops).
+        ``other`` is the loop time no bucket holds (unbucketed modules,
+        builtins, profiler bookkeeping), so the shares sum to 1.
         """
         loop = self.loop_seconds()
         out: dict[str, dict[str, float]] = {}

@@ -68,7 +68,7 @@ class TestRoundTrip:
             parts = line.split()
             if len(parts) == 2 and parts[0].isdigit():
                 mapping[int(parts[0])] = parts[1]
-        kinds = {kind for _t, kind, _n, _a, _d in trace.events}
+        kinds = {instant.name for instant in trace.bus.instants}
         assert set(mapping.values()) == kinds == {
             "degrade", "degrade-end", "task-recovered"}
         # every emitted point record carries a declared value
@@ -88,14 +88,14 @@ class TestRoundTrip:
         cpu, _one, task, thread = degrade[0].split(":")[1:5]
         assert (cpu, task, thread) == ("2", "2", "1")
 
-    def test_legacy_events_view_round_trips(self, trace):
-        events = trace.events
-        assert [e[1] for e in events] == ["degrade", "degrade-end",
-                                         "task-recovered"]
-        time, kind, node, apprank, detail = events[0]
-        assert (time, kind, node, apprank) == (0.2, "degrade", 1, 1)
-        assert detail == {"speed": 0.5}
-        assert trace.events_of("degrade") == [events[0]]
+    def test_point_events_round_trip(self, trace):
+        instants = trace.bus.instants
+        assert [i.name for i in instants] == ["degrade", "degrade-end",
+                                              "task-recovered"]
+        first = instants[0]
+        assert (first.time, first.name, first.track.node) == (0.2, "degrade", 1)
+        assert first.args == {"apprank": 1, "speed": 0.5}
+        assert [i for i in instants if i.name == "degrade"] == [first]
 
     def test_no_point_block_without_events(self, tmp_path):
         trace = TraceRecorder(Simulator())

@@ -57,13 +57,12 @@ def micropp_snapshot() -> dict[str, Any]:
                                       lambda: make_micropp_app(spec)))
 
 
-def synthetic_snapshot(validate: bool = False,
-                       perf: bool = False) -> dict[str, Any]:
+def synthetic_snapshot(validate: bool = False) -> dict[str, Any]:
     """Synthetic imbalance 2.0, degree 4 (exercises KEEP/QUEUE/steal).
 
-    *validate* arms the :mod:`repro.validate` sanitizer, *perf* the
-    :mod:`repro.perf` wall-clock recorder; the snapshot must stay
-    bit-identical either way (both taps are strictly passive).
+    *validate* arms the :mod:`repro.validate` sanitizer; the snapshot
+    must stay bit-identical either way (the sanitizer is strictly
+    passive).
     """
     machine = MARENOSTRUM4.scaled(8)
     spec = SyntheticSpec(num_appranks=4, imbalance=2.0, cores_per_apprank=8,
@@ -71,8 +70,6 @@ def synthetic_snapshot(validate: bool = False,
     config = TINY.tune(RuntimeConfig.offloading(4, "global"))
     if validate:
         config = config.with_(validate=True)
-    if perf:
-        config = config.with_(perf=True)
     return _run_snapshot(run_workload(machine, 4, 1, config,
                                       lambda: make_synthetic_app(spec)))
 
