@@ -1,11 +1,14 @@
 """Micro-benchmarks of the substrates (performance tracking, not figures)."""
 
+import itertools
+
 import numpy as np
 
 from repro.apps.micropp import (LinearElastic, SecantNonlinear,
                                 StructuredHexMesh, solve_subdomain,
                                 spherical_inclusions)
 from repro.apps.nbody import accelerations_barnes_hut, plummer_sphere
+from repro.apps.synthetic import SyntheticSpec, task_durations
 from repro.balance import solve_core_allocation
 from repro.graph import BipartiteGraph, random_biregular
 from repro.sim import Simulator
@@ -40,6 +43,21 @@ def test_lp_solve_32_nodes(benchmark):
 
     allocation = benchmark(solve_core_allocation, graph, work, cores, speed)
     assert sum(sum(c.values()) for c in allocation.values()) == 32 * 48
+
+
+def test_synthetic_durations_64_appranks(benchmark):
+    """One uncached Figure 8 64-node workload draw (fallback branch): a
+    fresh seed per call defeats the per-spec memo."""
+    seeds = itertools.count()
+
+    def draw():
+        return task_durations(SyntheticSpec(
+            num_appranks=64, imbalance=2.0, cores_per_apprank=48,
+            seed=next(seeds)))
+
+    durations = benchmark(draw)
+    assert np.isclose(durations.mean(), 0.05)
+    assert np.isclose(durations.max(), 0.1)
 
 
 def test_expander_generation_64_nodes(benchmark):

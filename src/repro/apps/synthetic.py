@@ -75,6 +75,11 @@ class SyntheticSpec:
         return self.tasks_per_core * self.cores_per_apprank
 
 
+#: :func:`task_durations` results, one read-only array per spec. Bounded by
+#: the distinct specs a process builds (tens in a campaign).
+_DURATIONS: dict[SyntheticSpec, np.ndarray] = {}
+
+
 def task_durations(spec: SyntheticSpec) -> np.ndarray:
     """Per-apprank *nominal* task duration meeting the target imbalance.
 
@@ -84,7 +89,20 @@ def task_durations(spec: SyntheticSpec) -> np.ndarray:
     Deterministic given the spec's seed. The §7.5 slow-factor multiplier is
     NOT included — it emulates hardware, not application work; apply it via
     :func:`emulated_durations`.
+
+    Computed once per spec: every call with an equal spec returns the same
+    read-only array.
     """
+    durations = _DURATIONS.get(spec)
+    if durations is None:
+        durations = _draw_durations(spec)
+        durations.setflags(write=False)
+        _DURATIONS[spec] = durations
+    return durations
+
+
+def _draw_durations(spec: SyntheticSpec) -> np.ndarray:
+    """:func:`task_durations`, freshly computed."""
     a = spec.num_appranks
     mean = spec.mean_duration
     if a == 1:
@@ -94,11 +112,14 @@ def task_durations(spec: SyntheticSpec) -> np.ndarray:
     rest = a - 1
     if budget < 0:
         raise WorkloadError("imbalance exceeds apprank count")
+    # Up to 1000 rejection draws in one batch: the generator is local to
+    # the call and fills rows in the order sequential draws would, so the
+    # first accepted row is the one a draw-until-accepted loop returns.
     rng = np.random.default_rng(spec.seed)
-    for _ in range(1000):
-        shares = rng.dirichlet(np.ones(rest)) * budget
-        if np.all(shares <= worst + 1e-12):
-            break
+    draws = rng.dirichlet(np.ones(rest), size=1000) * budget
+    accepted = np.flatnonzero((draws <= worst + 1e-12).all(axis=1))
+    if accepted.size:
+        shares = draws[accepted[0]]
     else:
         # Extremely skewed targets: fall back to an even split (still
         # respects the constraints exactly).

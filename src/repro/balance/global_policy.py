@@ -144,9 +144,11 @@ def _solve_lp(edges: list[WorkerKey], appranks: list[int],
     """
     if not edges:
         return {}
-    if all(work.get(a, 0.0) <= 0.0 for a in appranks):
-        # No load signal: the LP is unbounded in s. Treat every apprank as
-        # equally loaded, which yields the home-preferring equal split.
+    if all(work.get(a, 0.0) <= 1e-9 for a in appranks):
+        # No load signal: the LP is unbounded in s. HiGHS drops matrix
+        # coefficients at or below its small_matrix_value (1e-9), so tiny
+        # positive loads count as none. Treat every apprank as equally
+        # loaded, which yields the home-preferring equal split.
         work = {a: 1.0 for a in appranks}
     edge_index = {e: i for i, e in enumerate(edges)}
     edges_of_apprank: dict[int, list[WorkerKey]] = {a: [] for a in appranks}

@@ -31,6 +31,8 @@ __all__ = ["JobProfile", "profile_job", "clear_profile_cache"]
 
 #: In-process memo: (spec, scale name) -> JobProfile.
 _CACHE: dict[tuple[JobSpec, str], "JobProfile"] = {}
+#: In-process memo: (profile, total cores) -> throughput curve.
+_CURVES: dict[tuple["JobProfile", int], tuple[float, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,16 @@ class JobProfile:
 
         Linear up to the natural parallelism, flat beyond it — the
         fluid model's speedup assumption, handed to curve-driven
-        reallocation policies (``gavel``).
+        reallocation policies (``gavel``). Built once per
+        ``(profile, total_cores)``.
         """
-        per_core = self.iterations / self.core_seconds
-        return tuple(per_core * min(c, self.cores)
-                     for c in range(1, total_cores + 1))
+        key = (self, total_cores)
+        curve = _CURVES.get(key)
+        if curve is None:
+            per_core = self.iterations / self.core_seconds
+            curve = _CURVES[key] = tuple(per_core * min(c, self.cores)
+                                         for c in range(1, total_cores + 1))
+        return curve
 
 
 def profile_config(nodes: int, scale: Scale) -> RuntimeConfig:
@@ -127,5 +134,7 @@ def profile_job(spec: JobSpec, scale: Scale,
 
 
 def clear_profile_cache() -> None:
-    """Drop all memoized profiles (tests and long-lived processes)."""
+    """Drop all memoized profiles and their throughput curves (tests and
+    long-lived processes)."""
     _CACHE.clear()
+    _CURVES.clear()

@@ -122,6 +122,104 @@ class TestSyntheticSlowNode:
                           slow_rank=0, slow_has="sideways")
 
 
+def _reference_durations(spec):
+    """The sequential sampler: one Dirichlet draw at a time until the
+    shares fit under the worst rank, then the same placement."""
+    a, mean = spec.num_appranks, spec.mean_duration
+    if a == 1:
+        return np.array([mean])
+    worst = mean * spec.imbalance
+    budget = a * mean - worst
+    rest = a - 1
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(1000):
+        shares = rng.dirichlet(np.ones(rest)) * budget
+        if np.all(shares <= worst + 1e-12):
+            break
+    else:
+        shares = np.full(rest, budget / rest)
+    durations = np.empty(a)
+    if spec.slow_rank is None:
+        worst_rank = 0
+    elif spec.slow_has == "most":
+        worst_rank = spec.slow_rank
+    else:
+        worst_rank = (spec.slow_rank + a // 2) % a
+    others = [r for r in range(a) if r != worst_rank]
+    durations[worst_rank] = worst
+    durations[others] = shares
+    if (spec.slow_rank is not None and spec.slow_has == "least"
+            and spec.slow_rank != worst_rank):
+        least = min(others, key=lambda r: durations[r])
+        durations[[spec.slow_rank, least]] = durations[[least, spec.slow_rank]]
+    return durations
+
+
+_GRID_IMBALANCES = (1.0, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0)
+
+
+class TestSyntheticGeneratorCache:
+    @pytest.mark.parametrize("appranks", [1, 2, 3, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("slow_has", [None, "most", "least"])
+    def test_equals_sequential_sampler_bit_for_bit(self, appranks, slow_has):
+        slow_rank = {None: None, "most": 0, "least": appranks - 1}[slow_has]
+        slow_has = slow_has or "most"
+        branches = set()
+        for imbalance in _GRID_IMBALANCES:
+            if imbalance > appranks:
+                continue
+            for seed in (0, 1, 7, 1234):
+                spec = SyntheticSpec(num_appranks=appranks,
+                                     imbalance=imbalance,
+                                     cores_per_apprank=4, seed=seed,
+                                     slow_rank=slow_rank, slow_has=slow_has)
+                want = _reference_durations(spec)
+                want_emulated = want.copy()
+                if slow_rank is not None:
+                    want_emulated[slow_rank] *= spec.slow_factor
+                np.testing.assert_array_equal(task_durations(spec), want)
+                np.testing.assert_array_equal(emulated_durations(spec),
+                                              want_emulated)
+                branches.add(len(set(want.tolist())) <= 2)
+        if appranks >= 32 and slow_rank is None:
+            # the grid exercises both the accepted draw and the fallback
+            assert branches == {True, False}
+
+    def test_repeated_call_returns_the_same_frozen_array(self):
+        spec = SyntheticSpec(num_appranks=8, imbalance=2.0,
+                             cores_per_apprank=4, seed=99)
+        first = task_durations(spec)
+        assert task_durations(spec) is first
+        assert task_durations(SyntheticSpec(num_appranks=8, imbalance=2.0,
+                                            cores_per_apprank=4,
+                                            seed=99)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert emulated_durations(spec) is first      # no slow rank
+
+    def test_emulated_copy_does_not_alias_the_cache(self):
+        spec = SyntheticSpec(num_appranks=4, imbalance=2.0,
+                             cores_per_apprank=4, slow_rank=1,
+                             slow_factor=3.0, seed=5)
+        plain = task_durations(spec)
+        before = plain.copy()
+        emulated = emulated_durations(spec)
+        assert emulated.flags.writeable
+        assert not np.shares_memory(emulated, plain)
+        emulated[:] = -1.0
+        np.testing.assert_array_equal(task_durations(spec), before)
+
+    def test_least_swap_is_frozen_into_the_cache(self):
+        spec = SyntheticSpec(num_appranks=6, imbalance=2.0,
+                             cores_per_apprank=4, slow_rank=2,
+                             slow_has="least", seed=3)
+        first = task_durations(spec)
+        assert first[2] == first.min()
+        assert task_durations(spec) is first
+        assert task_durations(spec)[2] == first.min()
+
+
 class TestMicroppWorkload:
     def test_fractions_decrease_with_rank(self):
         spec = MicroppSpec(num_appranks=8, cores_per_apprank=8)

@@ -74,9 +74,7 @@ def _capture_lp(instance, monkeypatch):
     return seen
 
 
-@settings(max_examples=60, deadline=None)
-@given(instance=eq1_instances())
-def test_direct_solve_equals_linprog(instance):
+def _assert_direct_equals_linprog(instance):
     with pytest.MonkeyPatch.context() as monkeypatch:
         seen = _capture_lp(instance, monkeypatch)
     assert len(seen) == 1
@@ -88,6 +86,21 @@ def test_direct_solve_equals_linprog(instance):
         return
     assert result.success
     assert np.array_equal(x, result.x), (x, result.x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=eq1_instances())
+def test_direct_solve_equals_linprog(instance):
+    _assert_direct_equals_linprog(instance)
+
+
+@pytest.mark.parametrize("work", [1.2482662150091554e-92, 1e-10, 1e-9])
+def test_tiny_positive_work_is_no_load_signal(work):
+    """HiGHS drops coefficients at or below 1e-9, so loads that small
+    must take the equal-split path instead of an unbounded LP."""
+    instance = ([(0, 0)], [0], {0: 0}, {0: work}, {0: 2.0}, {0: 0.5}, 1e-6)
+    assert global_policy._solve_lp(*instance) == {(0, 0): 2.0}
+    _assert_direct_equals_linprog(instance)
 
 
 def test_forced_fallback_matches_golden(monkeypatch):

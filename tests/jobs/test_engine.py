@@ -6,7 +6,7 @@ from repro.errors import JobsError, ValidationError
 from repro.experiments.base import TINY
 from repro.jobs import (JobTrace, JobsArbiter, clear_profile_cache,
                         profile_job, run_trace)
-from repro.jobs.profile import profile_config
+from repro.jobs.profile import JobProfile, profile_config
 from repro.validate import JobsSanitizer
 
 
@@ -141,6 +141,32 @@ class TestSchedulingRules:
     def test_unknown_policy_rejected(self):
         with pytest.raises(JobsError):
             JobsArbiter("fifo", 8)
+
+
+class TestThroughputCurveCache:
+    @staticmethod
+    def _fresh_curve(profile, total_cores):
+        per_core = profile.iterations / profile.core_seconds
+        return tuple(per_core * min(c, profile.cores)
+                     for c in range(1, total_cores + 1))
+
+    def test_cached_curves_equal_fresh_ones(self):
+        profile = JobProfile(makespan=0.7, cores=8, nodes=2, iterations=3,
+                             tasks=96, executed=96, offloaded=4,
+                             mpi_messages=10)
+        for total in (1, 8, 12, 64):
+            first = profile.throughput_curve(total)
+            assert first == self._fresh_curve(profile, total)
+            assert profile.throughput_curve(total) is first
+
+    def test_clear_profile_cache_drops_curves(self):
+        profile = JobProfile(makespan=1.0, cores=4, nodes=1, iterations=2,
+                             tasks=8, executed=8, offloaded=0,
+                             mpi_messages=0)
+        first = profile.throughput_curve(8)
+        clear_profile_cache()
+        again = profile.throughput_curve(8)
+        assert again == first and again is not first
 
 
 class TestJobsSanitizer:
