@@ -248,7 +248,6 @@ def _print_policies() -> None:
     default_by_kind = {
         "offload": defaults.offload_policy,
         "lend": defaults.lend_policy,
-        "reclaim": defaults.reclaim_policy,
         "reallocation": defaults.policy,
     }
     from .policies import _REGISTRIES

@@ -58,16 +58,6 @@ class LewiModule:
     def total_reclaims(self) -> int:
         return sum(a.reclaims for a in self.arbiters.values())
 
-    @property
-    def policy_names(self) -> tuple[str, str]:
-        """``(lend, reclaim)`` policy-kernel names in force (uniform
-        across nodes; kept out of :meth:`stats` so its keys stay stable)."""
-        names = {(a.lend_policy.name, a.reclaim_policy.name)
-                 for a in self.arbiters.values()}
-        if len(names) != 1:
-            raise DlbError(f"mixed per-node LeWI policies: {sorted(names)}")
-        return next(iter(names))
-
     def stats(self) -> dict[str, int]:
         """Cluster-wide lend/borrow/reclaim counters."""
         return {

@@ -12,7 +12,7 @@ state machine used by both modules:
   boundaries in OmpSs-2/OpenMP).
 
 Workers register with a small duck-typed interface: ``key``,
-``has_ready()`` and ``start_next_on(core)``.
+``has_ready()``, ``ready_count()`` and ``start_next_on(core)``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from ..cluster.node import Core, Node, WorkerKey
 from ..errors import DlbError
-from ..policies import (EagerLend, LendPolicy, OwnerFirstReclaim,
-                        ReclaimPolicy)
-from ..policies.lewi import CandidateView, CoreGrantView, LendView
+from ..policies import EagerLend, LendPolicy, LendView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
@@ -41,6 +39,10 @@ class WorkerPort(Protocol):
         """Whether the worker has a runnable task waiting for a core."""
         ...
 
+    def ready_count(self) -> int:
+        """How many runnable tasks wait for a core (the borrow ranking)."""
+        ...
+
     def start_next_on(self, core: Core) -> bool:
         """Start the next ready task on *core*; False if nothing started."""
         ...
@@ -53,17 +55,15 @@ class NodeArbiter:
                  on_ownership_change: Optional[Callable[[int], None]] = None,
                  obs: Optional["Observability"] = None,
                  lend_policy: Optional[LendPolicy] = None,
-                 reclaim_policy: Optional[ReclaimPolicy] = None,
                  validator: Optional["Sanitizer"] = None) -> None:
         self.node = node
         self.lewi_enabled = lewi_enabled
         self.on_ownership_change = on_ownership_change
         self.obs = obs
         self.validator = validator
-        #: lend/grant decision strategies (see :mod:`repro.policies.lewi`);
-        #: the defaults reproduce the paper's LeWI behaviour
+        #: lend decision strategy (see :mod:`repro.policies.lewi`); the
+        #: default reproduces the paper's LeWI behaviour
         self.lend_policy: LendPolicy = lend_policy or EagerLend()
-        self.reclaim_policy: ReclaimPolicy = reclaim_policy or OwnerFirstReclaim()
         self.workers: dict[WorkerKey, WorkerPort] = {}
         #: set by :meth:`fail_node` — a failed node's cores never run again
         self.dead = False
@@ -262,17 +262,9 @@ class NodeArbiter:
                 and not lent_col[i]]
         if not idle:
             return 0
-        if type(self.lend_policy) is EagerLend:
-            # EagerLend lends every idle core unconditionally; skip the
-            # view snapshot (and its backlog probe) on the default path.
-            decided = len(idle)
-        else:
-            worker = self.workers.get(worker_key)
-            view = LendView(node_id=self.node.node_id, worker_key=worker_key,
-                            idle_owned_cores=len(idle),
-                            backlog=self._backlog(worker) if worker is not None
-                            else 0)
-            decided = self.lend_policy.lend_count(view)
+        decided = self.lend_policy.lend_count(LendView(
+            node_id=self.node.node_id, worker_key=worker_key,
+            idle_owned_cores=len(idle)))
         lent = max(0, min(decided, len(idle)))
         for i in idle[:lent]:
             lent_col[i] = True
@@ -286,127 +278,70 @@ class NodeArbiter:
     def release_core(self, core: Core, worker_key: WorkerKey) -> None:
         """A task just finished on *core*; decide who runs next.
 
-        Applies any pending DROM transfer first, then offers the core to
-        workers in the :class:`~repro.policies.ReclaimPolicy`'s grant
-        order. The mechanism enforces the DLB rules regardless of policy:
-        candidates without ready work are skipped, non-owners only get
-        the core when LeWI is enabled, granting to the owner clears the
-        lent flag, and the counters classify each grant (owner taking a
-        core back from another releaser = *reclaim*, any non-owner grant
-        = *borrow*). The default order — owner, releaser, then others by
-        backlog — is the paper's behaviour. If nobody can use the core it
-        goes idle, lent when LeWI is on and the
-        :class:`~repro.policies.LendPolicy` agrees (by default: whenever
-        the owner has nothing ready).
+        Applies any pending DROM transfer first, then offers the core in
+        the paper's LeWI order (§5.3): its owner, then the releasing
+        worker, then the other workers by ``(-ready_count, key)``.
+        Workers without ready work are skipped, and non-owners only get
+        the core when LeWI is enabled. Granting to the owner clears the
+        lent flag; the counters classify each grant before its start
+        attempt (owner taking a core back from another releaser =
+        *reclaim*, any non-owner grant = *borrow*). If nobody can use the
+        core it goes idle, lent when LeWI is on and the
+        :class:`~repro.policies.LendPolicy` agrees.
         """
         if core.busy:
             raise DlbError("release_core on a busy core (stop the task first)")
         if self.dead:
             return
-        moved = core.apply_pending_owner()
-        if moved:
+        if core.apply_pending_owner():
             self.cores_moved += 1
-        if (self.obs is None and self.validator is None
-                and type(self.reclaim_policy) is OwnerFirstReclaim
-                and type(self.lend_policy) is EagerLend):
-            self._release_core_fast(core, worker_key)
-            return
-        view = self._grant_view(core, worker_key)
-        order = self.reclaim_policy.grant_order(view)
-        offered: set[WorkerKey] = set()
-        for key in order:
-            if key in offered:
-                continue
-            offered.add(key)
-            worker = self.workers.get(key)
-            if worker is None:
-                continue
-            is_owner = key == core.owner
-            if not is_owner and not self.lewi_enabled:
-                continue
-            if not worker.has_ready():
-                continue
-            if is_owner:
-                if key != worker_key:
-                    self.reclaims += 1
-                    if self.obs is not None:
-                        self.obs.lewi_reclaim(self.node.node_id, core.owner)
-                core.lent = False
-            else:
-                self.borrows += 1
-                if self.obs is not None:
-                    self.obs.lewi_borrow(self.node.node_id, key)
-            if worker.start_next_on(core):
-                return
-        # Nobody can use it: idle. Lend it if the lend policy says so.
-        core.lent = self.lewi_enabled and self.lend_policy.lend_released(view)
-        if core.lent:
-            self.lends += 1
-            if self.obs is not None and core.owner is not None:
-                self.obs.lewi_lend(self.node.node_id, core.owner, 1)
-        if self.validator is not None:
-            self.validator.check_node(self)
-
-    def _release_core_fast(self, core: Core, worker_key: WorkerKey) -> None:
-        """Default-policy release: OwnerFirstReclaim order and EagerLend's
-        release rule inlined, with no view snapshots.
-
-        Must stay decision-for-decision identical to the general path
-        under the default policies: owner → releaser → others by
-        ``(-backlog, key)``, counters bumped before the start attempt,
-        non-owners eligible only with LeWI. The final lend decision is
-        EagerLend's "lend unless the owner has ready work" — reaching the
-        idle branch means the owner grant above found nothing ready (or no
-        registered owner), so with LeWI enabled the core is always lent.
-        """
         workers = self.workers
+        obs = self.obs
         owner_key = core.owner
-        lewi = self.lewi_enabled
-        if owner_key is not None:
-            owner = workers.get(owner_key)
-            if owner is not None and owner.has_ready():
-                if owner_key != worker_key:
-                    self.reclaims += 1
+        try:
+            if owner_key is not None:
+                owner = workers.get(owner_key)
+                if owner is not None and owner.has_ready():
+                    if owner_key != worker_key:
+                        self.reclaims += 1
+                        if obs is not None:
+                            obs.lewi_reclaim(self.node.node_id, owner_key)
+                    core.lent = False
+                    if owner.start_next_on(core):
+                        return
+            if not self.lewi_enabled:
                 core.lent = False
-                if owner.start_next_on(core):
-                    return
-        if lewi:
+                return
             if worker_key != owner_key:
                 releaser = workers.get(worker_key)
                 if releaser is not None and releaser.has_ready():
                     self.borrows += 1
+                    if obs is not None:
+                        obs.lewi_borrow(self.node.node_id, worker_key)
                     if releaser.start_next_on(core):
                         return
             others = [(key, worker) for key, worker in workers.items()
                       if key != owner_key and key != worker_key]
             if len(others) > 1:
-                others.sort(key=lambda kw: (-self._backlog(kw[1]), kw[0]))
+                others.sort(key=lambda kw: (-kw[1].ready_count(), kw[0]))
             for key, worker in others:
                 if not worker.has_ready():
                     continue
                 self.borrows += 1
+                if obs is not None:
+                    obs.lewi_borrow(self.node.node_id, key)
                 if worker.start_next_on(core):
                     return
-            core.lent = True
-            self.lends += 1
-        else:
-            core.lent = False
-
-    def _grant_view(self, core: Core, worker_key: WorkerKey) -> CoreGrantView:
-        """Immutable snapshot of one released-core decision."""
-        candidates = tuple(
-            CandidateView(key=key, has_ready=worker.has_ready(),
-                          backlog=self._backlog(worker),
-                          is_owner=key == core.owner,
-                          is_releaser=key == worker_key)
-            for key, worker in self.workers.items())
-        return CoreGrantView(node_id=self.node.node_id, core_index=core.index,
-                             owner=core.owner, releaser=worker_key,
-                             candidates=candidates)
-
-    @staticmethod
-    def _backlog(worker: WorkerPort) -> int:
-        return getattr(worker, "ready_count", lambda: 1 if worker.has_ready() else 0)()
+            # Nobody took it, so the owner has nothing ready: idle, lent
+            # if the lend policy says so.
+            core.lent = self.lend_policy.lend_released()
+            if core.lent:
+                self.lends += 1
+                if obs is not None and owner_key is not None:
+                    obs.lewi_lend(self.node.node_id, owner_key, 1)
+        finally:
+            if self.validator is not None:
+                self.validator.check_node(self)
 
     # -- DROM: ownership reassignment -------------------------------------
 

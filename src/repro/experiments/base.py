@@ -87,8 +87,7 @@ def force_validation() -> Iterator[list]:
 
 @contextmanager
 def force_policies(offload: Optional[str] = None,
-                   lend: Optional[str] = None,
-                   reclaim: Optional[str] = None) -> Iterator[None]:
+                   lend: Optional[str] = None) -> Iterator[None]:
     """Override policy-kernel selections on every run in the block.
 
     The CLI's ``--policy`` / ``--lend-policy`` flags use this to swap a
@@ -105,8 +104,6 @@ def force_policies(offload: Optional[str] = None,
         overrides["offload_policy"] = offload
     if lend is not None:
         overrides["lend_policy"] = lend
-    if reclaim is not None:
-        overrides["reclaim_policy"] = reclaim
     _POLICY_OVERRIDES = overrides
     try:
         yield

@@ -35,9 +35,6 @@ class RuntimeConfig:
     #: LeWI lending policy, by name in
     #: :data:`repro.policies.LEND_POLICIES` ("eager" = the paper's)
     lend_policy: str = "eager"
-    #: released-core grant-order policy, by name in
-    #: :data:`repro.policies.RECLAIM_POLICIES`
-    reclaim_policy: str = "owner-first"
     #: local-policy invocation period, seconds ("operates continuously")
     local_period: float = 0.1
     #: global-policy invocation period; the paper runs the solver every 2 s
@@ -103,14 +100,13 @@ class RuntimeConfig:
         # Policy names resolve against the repro.policies registries (the
         # import is deferred to keep this module import-light).
         from ..policies import (LEND_POLICIES, OFFLOAD_POLICIES,
-                                REALLOCATION_POLICIES, RECLAIM_POLICIES)
+                                REALLOCATION_POLICIES)
         if self.policy is not None and self.policy not in REALLOCATION_POLICIES:
             raise RuntimeModelError(
                 f"unknown policy {self.policy!r}; registered: "
                 f"{', '.join(REALLOCATION_POLICIES.names())}")
         for value, registry in ((self.offload_policy, OFFLOAD_POLICIES),
-                                (self.lend_policy, LEND_POLICIES),
-                                (self.reclaim_policy, RECLAIM_POLICIES)):
+                                (self.lend_policy, LEND_POLICIES)):
             if value not in registry:
                 raise RuntimeModelError(
                     f"unknown {registry.kind} policy {value!r}; registered: "

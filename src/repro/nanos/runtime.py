@@ -33,7 +33,7 @@ from ..graph.placement import WorkerKey, build_placement
 from ..metrics.trace import TraceRecorder
 from ..mpisim.world import MpiWorld
 from ..policies import (LEND_POLICIES, REALLOCATION_POLICIES,
-                        RECLAIM_POLICIES, NodeReallocationPolicy)
+                        NodeReallocationPolicy)
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventPriority
 from .apprank import AppRankRuntime
@@ -88,7 +88,7 @@ class ClusterRuntime:
             self.sim.validator = self.validator
         self.talp = TalpModule(spec.total_cores)
 
-        # One lend/reclaim policy instance per node mirrors the per-node
+        # One lend policy instance per node mirrors the per-node
         # DLB shared-memory segments (policies are pure, but sharing one
         # instance across nodes would hide accidental state).
         self.arbiters: dict[int, NodeArbiter] = {
@@ -97,7 +97,6 @@ class ClusterRuntime:
                 on_ownership_change=self._ownership_changed,
                 obs=self.obs,
                 lend_policy=LEND_POLICIES.create(config.lend_policy),
-                reclaim_policy=RECLAIM_POLICIES.create(config.reclaim_policy),
                 validator=self.validator)
             for node in self.cluster.nodes
         }

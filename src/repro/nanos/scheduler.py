@@ -206,32 +206,59 @@ class AppRankScheduler:
         inputs = task.inputs if task is not None else ()
         present = (self.directory.present_bytes_for(inputs, self.workers.keys())
                    if inputs else None)
-        nodes = []
-        for node_id, worker in self.workers.items():
-            nodes.append(NodeView(
-                node_id=node_id,
-                alive=worker.alive,
-                owned_cores=worker.arbiter.owned_count(worker.key),
-                active_tasks=worker.assigned - worker.blocked_bodies,
-                bytes_present=present[node_id] if present is not None else 0))
+        nodes = tuple(self._node_view(node_id, present)
+                      for node_id in self.workers)
         return SchedulerView(apprank=self.apprank, home_node=self.home_node,
                              tasks_per_core=self.config.tasks_per_core,
-                             nodes=tuple(nodes))
+                             nodes=nodes)
+
+    def _node_view(self, node_id: int,
+                   present: Optional[dict[int, int]]) -> NodeView:
+        worker = self.workers[node_id]
+        return NodeView(
+            node_id=node_id,
+            alive=worker.alive,
+            owned_cores=worker.arbiter.owned_count(worker.key),
+            active_tasks=worker.assigned - worker.blocked_bodies,
+            bytes_present=present[node_id] if present is not None else 0)
 
     @staticmethod
     def _task_view(task: Task) -> TaskView:
         return TaskView(task_id=task.task_id, input_bytes=task.input_bytes)
 
     def _place(self, task: Task, drained: bool = False) -> Optional[int]:
-        """Ask the policy; validate; return a node id or None (= spill)."""
-        if (self.obs is None and self.validator is None
-                and type(self.policy) is TentativeImmediateOffload):
-            return self._place_fast(task)
-        view = self.scheduler_view(task)
-        decision = self.policy.choose_worker(self._task_view(task), view)
-        if decision is QUEUE:
+        """Ask the policy; validate; return a node id or None (= spill).
+
+        The default policy is served by :meth:`_place_fast`; every other
+        policy decides over a :meth:`scheduler_view` snapshot. Both paths
+        report to obs and the validator alike.
+        """
+        if type(self.policy) is TentativeImmediateOffload:
+            node_id = self._place_fast(task)
+        else:
+            node_id = self._place_general(task)
+        if node_id is None:
             if self.obs is not None and not drained:
                 self.obs.policy_decision(self.policy.name, "queue")
+            return None
+        if self.validator is not None:
+            inputs = task.inputs
+            present = (self.directory.present_bytes_for(inputs, (node_id,))
+                       if inputs else None)
+            self.validator.placement_decided(
+                task, self._node_view(node_id, present),
+                self.config.tasks_per_core, self.policy.name)
+        if self.obs is not None:
+            outcome = "keep" if node_id == self.home_node else "offload"
+            self.obs.policy_decision(
+                self.policy.name, f"drained-{outcome}" if drained else outcome)
+        return node_id
+
+    def _place_general(self, task: Task) -> Optional[int]:
+        """Consult the policy over a snapshot and check its answer."""
+        decision = self.policy.choose_worker(self._task_view(task),
+                                             self.scheduler_view(task))
+        if decision is QUEUE:
             return None
         node_id = self.home_node if decision is KEEP else decision
         if not isinstance(node_id, int) or node_id not in self.workers:
@@ -242,15 +269,6 @@ class AppRankScheduler:
             raise PolicyError(
                 f"policy {self.policy.name!r} chose dead node {node_id} "
                 f"for {task!r}")
-        if self.validator is not None:
-            chosen = next(nv for nv in view.nodes if nv.node_id == node_id)
-            self.validator.placement_decided(task, chosen,
-                                             view.tasks_per_core,
-                                             self.policy.name)
-        if self.obs is not None:
-            outcome = "keep" if node_id == self.home_node else "offload"
-            self.obs.policy_decision(
-                self.policy.name, f"drained-{outcome}" if drained else outcome)
         return node_id
 
     def _place_fast(self, task: Task) -> Optional[int]:
@@ -260,8 +278,7 @@ class AppRankScheduler:
         :class:`~repro.policies.offload.TentativeImmediateOffload` over a
         :meth:`scheduler_view` snapshot — same locality order, same load
         bound, same tie-breaks — but without constructing the per-decision
-        view dataclasses. Only taken when no observer or validator needs
-        the snapshot.
+        view dataclasses.
         """
         workers = self.workers
         inputs = task.inputs

@@ -1,27 +1,26 @@
-"""LeWI lend / reclaim decision strategies (paper §5.3).
+"""LeWI lend decision strategies (paper §5.3).
 
 The :class:`~repro.dlb.shmem.NodeArbiter` keeps the core state machine,
-counters and DLB invariants; *who lends how many cores* and *in which
-order candidates are offered a released core* are decided here. The
-arbiter enforces the hard rules regardless of policy: non-owners only
-ever receive a core when LeWI is enabled, candidates without ready work
-are skipped, and the lend/borrow/reclaim counters are classified by the
-mechanism (owner taking back a borrower's core = reclaim, anything else
-= borrow), so a policy can reorder decisions but not corrupt accounting.
+counters and DLB invariants, and applies the paper's one grant order to a
+released core: owner first (the LeWI reclaim), then the releasing
+worker, then the other workers by backlog. *How many idle cores a worker
+lends* is decided here. The arbiter enforces the hard rules regardless
+of policy: non-owners only ever receive a core when LeWI is enabled, and
+the lend/borrow/reclaim counters are classified by the mechanism, so a
+policy can change how much is lent but not corrupt accounting.
 
-``eager`` + ``owner-first`` reproduce the seed arbiter bit-identically
-(the parity-tested defaults).
+``eager`` reproduces the seed arbiter bit-identically (the parity-tested
+default).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Hashable, Optional, Sequence
+from typing import ClassVar, Hashable
 
-__all__ = ["LendView", "CandidateView", "CoreGrantView", "LendPolicy",
-           "ReclaimPolicy", "EagerLend", "HoardLend", "ReserveOneLend",
-           "OwnerFirstReclaim", "ReleaserFirstReclaim"]
+__all__ = ["LendView", "LendPolicy", "EagerLend", "HoardLend",
+           "ReserveOneLend"]
 
 #: Worker identity as the arbiter knows it (``(apprank, node)`` tuples in
 #: the runtime; any sortable hashable in tests).
@@ -37,44 +36,6 @@ class LendView:
     worker_key: WorkerKey
     #: its currently idle, owned, not-yet-lent cores
     idle_owned_cores: int
-    #: its own ready backlog (normally 0 here — it just ran dry)
-    backlog: int
-
-
-@dataclass(frozen=True)
-class CandidateView:
-    """One registered worker as seen when a core is released."""
-
-    key: WorkerKey
-    #: has a runnable task or parked body awaiting a core
-    has_ready: bool
-    #: ready backlog size (borrow-prioritisation signal)
-    backlog: int
-    #: owns the released core
-    is_owner: bool
-    #: is the worker whose task just finished on the core
-    is_releaser: bool
-
-
-@dataclass(frozen=True)
-class CoreGrantView:
-    """Snapshot for one released-core grant decision."""
-
-    node_id: int
-    core_index: int
-    #: the core's owner key, or None if unowned/retired
-    owner: Optional[WorkerKey]
-    #: the worker releasing the core
-    releaser: WorkerKey
-    #: every registered worker on the node, in registration order
-    candidates: tuple[CandidateView, ...]
-
-    def owner_candidate(self) -> Optional[CandidateView]:
-        """The owner's candidate entry, or None if the owner is gone."""
-        for candidate in self.candidates:
-            if candidate.is_owner:
-                return candidate
-        return None
 
 
 class LendPolicy(ABC):
@@ -89,34 +50,19 @@ class LendPolicy(ABC):
         (clamped by the mechanism to ``[0, idle_owned_cores]``)."""
 
     @abstractmethod
-    def lend_released(self, view: CoreGrantView) -> bool:
+    def lend_released(self) -> bool:
         """Whether a released core nobody could start on should be
-        marked lent (only honoured when LeWI is enabled)."""
+        marked lent. Asked only after the core's owner (if still
+        registered) was offered it and had nothing ready, and only when
+        LeWI is enabled."""
 
 
-class ReclaimPolicy(ABC):
-    """In which order a released core is offered to workers."""
-
-    #: registry key (``RuntimeConfig.reclaim_policy``)
-    name: ClassVar[str] = ""
-
-    @abstractmethod
-    def grant_order(self, view: CoreGrantView) -> Sequence[WorkerKey]:
-        """Candidate worker keys, most-preferred first; the mechanism
-        tries each in turn (skipping ineligible ones) and stops at the
-        first that starts a task. Duplicates are ignored."""
-
-
-def _others_by_backlog(view: CoreGrantView) -> list[WorkerKey]:
-    """Non-owner non-releaser candidates, busiest backlog first (the seed
-    arbiter's deterministic ``(-backlog, key)`` tie-break)."""
-    others = [c for c in view.candidates
-              if not c.is_owner and not c.is_releaser]
-    def sort_key(candidate: CandidateView) -> tuple[int, Any]:
-        return (-candidate.backlog, candidate.key)
-
-    others.sort(key=sort_key)
-    return [c.key for c in others]
+class ReclaimPolicy:
+    """An empty name, not a policy kind: the grant order of a released
+    core is fixed in :meth:`~repro.dlb.shmem.NodeArbiter.release_core`
+    (owner, releaser, others by backlog). It stays importable because
+    ``perfbench/tracer.py`` looks it up when wrapping the
+    ``policies.lend`` layer; it has no methods, so nothing is wrapped."""
 
 
 class EagerLend(LendPolicy):
@@ -130,10 +76,9 @@ class EagerLend(LendPolicy):
         """Lend every idle owned core."""
         return view.idle_owned_cores
 
-    def lend_released(self, view: CoreGrantView) -> bool:
-        """Lend unless the owner (still registered) has ready work."""
-        owner = view.owner_candidate()
-        return owner is None or not owner.has_ready
+    def lend_released(self) -> bool:
+        """Lend: the owner has nothing ready."""
+        return True
 
 
 class HoardLend(LendPolicy):
@@ -146,7 +91,7 @@ class HoardLend(LendPolicy):
         """Lend nothing."""
         return 0
 
-    def lend_released(self, view: CoreGrantView) -> bool:
+    def lend_released(self) -> bool:
         """Keep released cores unlent."""
         return False
 
@@ -161,42 +106,6 @@ class ReserveOneLend(LendPolicy):
         """Lend all but one idle owned core."""
         return max(0, view.idle_owned_cores - 1)
 
-    def lend_released(self, view: CoreGrantView) -> bool:
+    def lend_released(self) -> bool:
         """Same tail rule as :class:`EagerLend`."""
-        owner = view.owner_candidate()
-        return owner is None or not owner.has_ready
-
-
-class OwnerFirstReclaim(ReclaimPolicy):
-    """The seed arbiter's order (the default): owner first (the LeWI
-    reclaim path), then the releasing worker, then other workers by
-    descending backlog."""
-
-    name = "owner-first"
-
-    def grant_order(self, view: CoreGrantView) -> Sequence[WorkerKey]:
-        """owner → releaser → others by ``(-backlog, key)``."""
-        order: list[WorkerKey] = []
-        if view.owner is not None:
-            order.append(view.owner)
-        if view.releaser != view.owner:
-            order.append(view.releaser)
-        order.extend(_others_by_backlog(view))
-        return order
-
-
-class ReleaserFirstReclaim(ReclaimPolicy):
-    """Work-conserving variant: the releasing worker keeps its warm core
-    when it still has work, deferring the owner's reclaim by one task —
-    fewer reclaim round-trips at the cost of slower ownership
-    convergence."""
-
-    name = "releaser-first"
-
-    def grant_order(self, view: CoreGrantView) -> Sequence[WorkerKey]:
-        """releaser → owner → others by ``(-backlog, key)``."""
-        order: list[WorkerKey] = [view.releaser]
-        if view.owner is not None and view.owner != view.releaser:
-            order.append(view.owner)
-        order.extend(_others_by_backlog(view))
-        return order
+        return True

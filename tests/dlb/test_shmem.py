@@ -5,6 +5,9 @@ import pytest
 from repro.cluster import Node
 from repro.dlb import NodeArbiter
 from repro.errors import DlbError
+from repro.obs import Observability
+from repro.policies import HoardLend
+from repro.sim.engine import Simulator
 
 
 class FakeWorker:
@@ -30,9 +33,9 @@ class FakeWorker:
         return True
 
 
-def make_arbiter(num_cores=4, lewi=True, workers=("a", "b")):
+def make_arbiter(num_cores=4, lewi=True, workers=("a", "b"), **kwargs):
     node = Node(0, num_cores)
-    arbiter = NodeArbiter(node, lewi_enabled=lewi)
+    arbiter = NodeArbiter(node, lewi_enabled=lewi, **kwargs)
     ports = {}
     for name in workers:
         port = FakeWorker((name, 0))
@@ -170,6 +173,116 @@ class TestRelease:
         core.start(core.owner)
         with pytest.raises(DlbError):
             arbiter.release_core(core, core.owner)
+
+
+class TestGrantOrder:
+    """The paper's one LeWI order for a released core: owner, releaser,
+    then the other workers by ``(-ready_count, key)``."""
+
+    def _released(self, ready, **kwargs):
+        """Four workers owning one core each; b's task just finished on
+        the core a owns. *ready* maps worker name to its ready backlog."""
+        node, arbiter, ports = make_arbiter(
+            workers=("a", "b", "c", "d"), **kwargs)
+        arbiter.initialize_ownership({(w, 0): 1 for w in "abcd"})
+        core = node.cores_owned_by(("a", 0))[0]
+        core.start(("b", 0))
+        core.stop(("b", 0))
+        for name, count in ready.items():
+            ports[name].ready = count
+        arbiter.release_core(core, ("b", 0))
+        return core, arbiter
+
+    def test_owner_then_releaser_then_others(self):
+        core, arbiter = self._released({"a": 1, "b": 1, "c": 5, "d": 2})
+        assert core.occupant == ("a", 0)
+        assert (arbiter.reclaims, arbiter.borrows) == (1, 0)
+        core, arbiter = self._released({"b": 1, "c": 5, "d": 2})
+        assert core.occupant == ("b", 0)
+        assert (arbiter.reclaims, arbiter.borrows) == (0, 1)
+        core, arbiter = self._released({"c": 5, "d": 2})
+        assert core.occupant == ("c", 0)
+        assert (arbiter.reclaims, arbiter.borrows) == (0, 1)
+
+    def test_others_ranked_by_backlog_then_key(self):
+        core, _ = self._released({"c": 2, "d": 9})
+        assert core.occupant == ("d", 0)          # larger backlog first
+        core, _ = self._released({"c": 2, "d": 2})
+        assert core.occupant == ("c", 0)          # tie: smaller key first
+
+    def test_owner_releasing_its_own_core_counts_no_reclaim(self):
+        node, arbiter, ports = make_arbiter()
+        arbiter.initialize_ownership({("a", 0): 3, ("b", 0): 1})
+        core = node.cores_owned_by(("a", 0))[0]
+        core.start(("a", 0))
+        core.stop(("a", 0))
+        ports["a"].ready = 1
+        ports["b"].ready = 1
+        arbiter.release_core(core, ("a", 0))
+        assert core.occupant == ("a", 0)
+        assert (arbiter.reclaims, arbiter.borrows) == (0, 0)
+
+    def test_nobody_ready_lends_the_core(self):
+        core, arbiter = self._released({})
+        assert core.occupant is None
+        assert core.lent and arbiter.lends == 1
+
+    def test_hoard_keeps_released_idle_core_unlent(self):
+        core, arbiter = self._released({}, lend_policy=HoardLend())
+        assert core.occupant is None
+        assert not core.lent and arbiter.lends == 0
+
+    def test_lewi_disabled_grants_owner_only(self):
+        core, arbiter = self._released({"b": 1, "c": 5}, lewi=False)
+        assert core.occupant is None and not core.lent
+        assert arbiter.borrows == 0
+
+
+class TestReleaseHooks:
+    def test_obs_instants_equal_counters(self):
+        obs = Observability(Simulator())
+        node, arbiter, ports = make_arbiter(num_cores=2, obs=obs)
+        arbiter.initialize_ownership({("a", 0): 1, ("b", 0): 1})
+        arbiter.lend_idle_cores(("b", 0))                    # lend
+        ports["a"].ready = 3
+        arbiter.acquire_core(ports["a"]).start(("a", 0))
+        borrowed = arbiter.acquire_core(ports["a"])          # borrow
+        borrowed.start(("a", 0))
+        ports["b"].ready = 1
+        borrowed.stop(("a", 0))
+        arbiter.release_core(borrowed, ("a", 0))             # reclaim
+        borrowed.stop(("b", 0))
+        ports["a"].ready = 1
+        arbiter.release_core(borrowed, ("a", 0))             # borrow
+        borrowed.stop(("a", 0))
+        arbiter.release_core(borrowed, ("a", 0))             # lend
+        instants = obs.bus.instants
+        lent = sum(i.args["cores"] for i in instants if i.name == "lend")
+        assert lent == arbiter.lends == 2
+        assert (sum(1 for i in instants if i.name == "borrow")
+                == arbiter.borrows == 2)
+        assert (sum(1 for i in instants if i.name == "reclaim")
+                == arbiter.reclaims == 1)
+
+    def test_validator_checks_every_release(self):
+        class CountingValidator:
+            calls = 0
+
+            def check_node(self, arbiter):
+                self.calls += 1
+
+        validator = CountingValidator()
+        node, arbiter, ports = make_arbiter(validator=validator)
+        arbiter.initialize_ownership({("a", 0): 3, ("b", 0): 1})
+        core = node.cores_owned_by(("a", 0))[0]
+        core.start(("a", 0))
+        core.stop(("a", 0))
+        ports["a"].ready = 1
+        arbiter.release_core(core, ("a", 0))      # the owner starts a task
+        assert validator.calls == 2               # initialize + release
+        core.stop(("a", 0))
+        arbiter.release_core(core, ("a", 0))      # nobody ready: idle
+        assert validator.calls == 3
 
 
 class TestDrom:

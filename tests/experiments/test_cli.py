@@ -53,8 +53,9 @@ class TestPolicyKernelCli:
     def test_policies_listing(self, capsys):
         assert cli.main(["policies"]) == 0
         out = capsys.readouterr().out
-        for kind in ("offload", "lend", "reclaim", "reallocation"):
+        for kind in ("offload", "lend", "reallocation"):
             assert kind in out
+        assert "reclaim" not in out     # the grant order is not a policy
         assert "tentative*" in out      # default marked
 
     def test_unknown_policy_one_line_error(self, capsys):

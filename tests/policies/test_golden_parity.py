@@ -2,9 +2,9 @@
 
 ``golden_default.json`` was captured by ``tools/capture_policy_golden.py``
 against the tree *before* the policy-kernel refactor. Equality here means
-the extracted default strategies (tentative / eager / owner-first /
-global) are a pure refactor: same makespans, same per-iteration times,
-same simulator event counts, same LeWI/DROM counters.
+the extracted default strategies (tentative / eager / global) are a
+pure refactor: same makespans, same per-iteration times, same simulator
+event counts, same LeWI/DROM counters.
 """
 
 import json

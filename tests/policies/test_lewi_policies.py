@@ -1,81 +1,46 @@
-"""Lend/reclaim strategies: pure decisions + arbiter mechanism wiring."""
+"""Lend strategies: pure decisions + arbiter mechanism wiring.
 
-from repro.policies import (EagerLend, HoardLend, OwnerFirstReclaim,
-                            ReleaserFirstReclaim, ReserveOneLend)
-from repro.policies.lewi import CandidateView, CoreGrantView, LendView
+The grant order of a released core is not a policy; its checks live with
+the arbiter in ``tests/dlb/test_shmem.py``.
+"""
+
+from repro.policies import EagerLend, HoardLend, ReserveOneLend
+from repro.policies.lewi import LendView
 
 from tests.dlb.test_shmem import make_arbiter
 
 
 def lend_view(idle=3):
-    return LendView(node_id=0, worker_key=("a", 0), idle_owned_cores=idle,
-                    backlog=0)
-
-
-def grant_view(owner=("a", 0), releaser=("b", 0), candidates=()):
-    return CoreGrantView(node_id=0, core_index=0, owner=owner,
-                         releaser=releaser, candidates=tuple(candidates))
-
-
-def candidate(key, ready=0, owner=False, releaser=False):
-    return CandidateView(key=key, has_ready=ready > 0, backlog=ready,
-                         is_owner=owner, is_releaser=releaser)
+    return LendView(node_id=0, worker_key=("a", 0), idle_owned_cores=idle)
 
 
 class TestLendPolicies:
     def test_eager_lends_everything(self):
         assert EagerLend().lend_count(lend_view(idle=3)) == 3
+        assert EagerLend().lend_released()
 
     def test_eager_releases_unless_owner_has_work(self):
-        busy_owner = grant_view(candidates=[candidate(("a", 0), ready=2,
-                                                      owner=True)])
-        idle_owner = grant_view(candidates=[candidate(("a", 0), owner=True)])
-        gone_owner = grant_view(owner=None, candidates=[])
-        assert not EagerLend().lend_released(busy_owner)
-        assert EagerLend().lend_released(idle_owner)
-        assert EagerLend().lend_released(gone_owner)
+        node, arbiter, ports = make_arbiter()
+        arbiter.initialize_ownership({("a", 0): 3, ("b", 0): 1})
+        core = node.cores_owned_by(("a", 0))[0]
+        core.start(("a", 0))
+        core.stop(("a", 0))
+        ports["a"].ready = 1
+        arbiter.release_core(core, ("a", 0))
+        assert core.occupant == ("a", 0) and not core.lent
+        core.stop(("a", 0))
+        arbiter.release_core(core, ("a", 0))
+        assert core.occupant is None and core.lent
 
     def test_hoard_never_lends(self):
         assert HoardLend().lend_count(lend_view(idle=3)) == 0
-        assert not HoardLend().lend_released(grant_view(candidates=[]))
+        assert not HoardLend().lend_released()
 
     def test_reserve_one_keeps_a_warm_core(self):
         assert ReserveOneLend().lend_count(lend_view(idle=3)) == 2
         assert ReserveOneLend().lend_count(lend_view(idle=1)) == 0
         assert ReserveOneLend().lend_count(lend_view(idle=0)) == 0
-
-
-class TestReclaimPolicies:
-    def _view(self):
-        return grant_view(
-            owner=("a", 0), releaser=("b", 0),
-            candidates=[candidate(("a", 0), ready=1, owner=True),
-                        candidate(("b", 0), ready=1, releaser=True),
-                        candidate(("c", 0), ready=5),
-                        candidate(("d", 0), ready=2)])
-
-    def test_owner_first_order(self):
-        order = list(OwnerFirstReclaim().grant_order(self._view()))
-        assert order == [("a", 0), ("b", 0), ("c", 0), ("d", 0)]
-
-    def test_releaser_first_order(self):
-        order = list(ReleaserFirstReclaim().grant_order(self._view()))
-        assert order == [("b", 0), ("a", 0), ("c", 0), ("d", 0)]
-
-    def test_owner_releasing_its_own_core_not_duplicated(self):
-        v = grant_view(owner=("a", 0), releaser=("a", 0),
-                       candidates=[candidate(("a", 0), ready=1, owner=True,
-                                             releaser=True)])
-        assert list(OwnerFirstReclaim().grant_order(v)) == [("a", 0)]
-        assert list(ReleaserFirstReclaim().grant_order(v)) == [("a", 0)]
-
-    def test_others_ranked_by_backlog_then_key(self):
-        v = grant_view(candidates=[candidate(("d", 0), ready=2),
-                                   candidate(("c", 0), ready=2),
-                                   candidate(("e", 0), ready=9)])
-        order = list(OwnerFirstReclaim().grant_order(v))
-        # owner, releaser (not in candidates), then e (backlog 9), c, d
-        assert order[-3:] == [("e", 0), ("c", 0), ("d", 0)]
+        assert ReserveOneLend().lend_released()
 
 
 class TestArbiterUsesPolicies:
@@ -96,31 +61,7 @@ class TestArbiterUsesPolicies:
         arbiter.initialize_ownership({("a", 0): 3, ("b", 0): 1})
         assert arbiter.lend_idle_cores(("a", 0)) == 2
 
-    def test_releaser_first_lets_borrower_keep_warm_core(self):
-        # b's core is borrowed by a; both have ready work at release time.
-        # owner-first hands it back to b (a reclaim); releaser-first lets
-        # a keep it (a borrow).
-        for policy, expect_reclaims in ((OwnerFirstReclaim(), 1),
-                                        (ReleaserFirstReclaim(), 0)):
-            _, arbiter, ports = make_arbiter(num_cores=2)
-            arbiter.reclaim_policy = policy
-            arbiter.initialize_ownership({("a", 0): 1, ("b", 0): 1})
-            arbiter.lend_idle_cores(("b", 0))
-            ports["a"].ready = 3
-            own = arbiter.acquire_core(ports["a"])
-            own.start(("a", 0))
-            borrowed = arbiter.acquire_core(ports["a"])
-            assert borrowed is not None and borrowed.owner == ("b", 0)
-            borrowed.start(("a", 0))
-            ports["a"].ready = 1
-            ports["b"].ready = 1
-            borrowed.stop(("a", 0))
-            arbiter.release_core(borrowed, ("a", 0))
-            assert arbiter.reclaims == expect_reclaims
-            winner = ("b", 0) if expect_reclaims else ("a", 0)
-            assert borrowed.occupant == winner
-
     def test_default_policy_names_exposed(self):
         _, arbiter, _ = make_arbiter()
         assert arbiter.lend_policy.name == "eager"
-        assert arbiter.reclaim_policy.name == "owner-first"
+        assert not hasattr(arbiter, "reclaim_policy")

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import PolicyError
 from repro.policies import (LEND_POLICIES, OFFLOAD_POLICIES,
-                            REALLOCATION_POLICIES, RECLAIM_POLICIES,
-                            OffloadPolicy, PolicyRegistry,
-                            available_policies, load_entry_point_policies)
+                            REALLOCATION_POLICIES, OffloadPolicy,
+                            PolicyRegistry, available_policies,
+                            load_entry_point_policies)
 from repro.policies.registry import register_entry_points
 
 
@@ -69,7 +69,6 @@ class TestBuiltinRegistries:
     def test_defaults_registered(self):
         assert "tentative" in OFFLOAD_POLICIES
         assert "eager" in LEND_POLICIES
-        assert "owner-first" in RECLAIM_POLICIES
         assert "global" in REALLOCATION_POLICIES
         assert "local" in REALLOCATION_POLICIES
 
@@ -79,8 +78,7 @@ class TestBuiltinRegistries:
 
     def test_available_policies_covers_every_kind(self):
         catalogue = available_policies()
-        assert set(catalogue) == {"offload", "lend", "reclaim",
-                                  "reallocation"}
+        assert set(catalogue) == {"offload", "lend", "reallocation"}
         assert all(names for names in catalogue.values())
 
 

@@ -16,6 +16,7 @@ from repro.cluster import MARENOSTRUM4
 from repro.errors import ExperimentError
 from repro.experiments.base import force_validation, run_workload
 from repro.nanos import AccessType, DataAccess, RuntimeConfig
+from repro.nanos.scheduler import AppRankScheduler
 from repro.validate import CHECK_TARGETS, run_check
 from tests.policies.harness import TINY, synthetic_snapshot
 
@@ -66,6 +67,28 @@ class TestValidatedRuns:
         (sanitizer,) = sanitizers
         assert sanitizer.summary()["placements"] > 0
         assert sanitizer.oracle_stats is not None
+
+    def test_default_placement_fast_path_is_validated(self, monkeypatch):
+        """A validated default run places tasks on the same fast path a
+        plain run takes, and the sanitizer checks those placements."""
+        entered = []
+        fast = AppRankScheduler._place_fast
+
+        def counting(self, task):
+            entered.append(task)
+            return fast(self, task)
+
+        monkeypatch.setattr(AppRankScheduler, "_place_fast", counting)
+        machine = MARENOSTRUM4.scaled(8)
+        spec = SyntheticSpec(num_appranks=4, imbalance=2.0,
+                             cores_per_apprank=8, tasks_per_core=10,
+                             iterations=3)
+        config = TINY.tune(RuntimeConfig.offloading(4, "global"))
+        assert config.offload_policy == "tentative"
+        result = run_workload(machine, 4, 1, config.with_(validate=True),
+                              lambda: make_synthetic_app(spec))
+        assert entered
+        assert result.runtime.validator.placements_checked > 0
 
     def test_validation_is_zero_perturbation(self):
         plain = json.dumps(synthetic_snapshot(), sort_keys=True)
