@@ -5,8 +5,7 @@ from . import (fig05_policies, fig06_applications, fig07_local, fig08_sweep,
                fig_multijob, fig_policies_ablation, headline, resilience,
                traced)
 from .base import (MEDIUM, PAPER, SMALL, TINY, ResultTable, RunResult, Scale,
-                   force_observability, force_policies, force_validation,
-                   run_workload)
+                   force_config, run_workload)
 from .campaign_grids import CAMPAIGN_GRIDS
 
 __all__ = [
@@ -17,9 +16,7 @@ __all__ = [
     "PAPER",
     "RunResult",
     "run_workload",
-    "force_observability",
-    "force_policies",
-    "force_validation",
+    "force_config",
     "ResultTable",
     "fig05_policies",
     "fig06_applications",

@@ -29,86 +29,42 @@ from ..nanos.config import RuntimeConfig
 from ..nanos.runtime import ClusterRuntime
 
 __all__ = ["Scale", "TINY", "SMALL", "MEDIUM", "PAPER", "RunResult",
-           "run_workload", "ResultTable", "reduction_vs",
-           "force_observability", "force_policies", "force_validation"]
+           "run_workload", "ResultTable", "reduction_vs", "force_config"]
 
-#: While a :func:`force_observability` block is active, this is the list
-#: collecting each run's Observability facade; ``None`` otherwise.
-_OBS_COLLECTOR: Optional[list] = None
-
-#: While a :func:`force_validation` block is active, this is the list
-#: collecting each run's Sanitizer; ``None`` otherwise.
-_VALIDATE_COLLECTOR: Optional[list] = None
-
-#: While a :func:`force_policies` block is active, these RuntimeConfig
-#: field overrides are applied to every run; ``None`` otherwise.
-_POLICY_OVERRIDES: Optional[dict] = None
+#: The active :func:`force_config` blocks, outermost first: each block's
+#: RuntimeConfig overrides and the list collecting its instrumented runs.
+_FORCED: list[tuple[dict[str, Any], list[ClusterRuntime]]] = []
 
 
 @contextmanager
-def force_observability() -> Iterator[list]:
-    """Enable ``config.obs`` on every :func:`run_workload` in the block.
+def force_config(**overrides: Any) -> Iterator[list[ClusterRuntime]]:
+    """Apply ``RuntimeConfig`` overrides to every :func:`run_workload`.
 
-    The CLI's ``--obs`` flag uses this to instrument any existing
-    experiment target without threading an option through every figure
-    module: each run's :class:`repro.obs.Observability` facade is appended
-    to the yielded list in execution order.
-    """
-    global _OBS_COLLECTOR
-    if _OBS_COLLECTOR is not None:
-        raise ExperimentError("force_observability() does not nest")
-    _OBS_COLLECTOR = []
-    try:
-        yield _OBS_COLLECTOR
-    finally:
-        _OBS_COLLECTOR = None
-
-
-@contextmanager
-def force_validation() -> Iterator[list]:
-    """Enable ``config.validate`` on every :func:`run_workload` in the block.
-
-    The CLI's ``--check`` flag and the ``check`` target use this to arm
-    the invariant sanitizer (:mod:`repro.validate`) on any existing
-    experiment target: each run's :class:`~repro.validate.Sanitizer` is
-    appended to the yielded list in execution order, so callers can report
-    what was checked. A violation surfaces as the run raising
+    The CLI's ``--obs``, ``--check``, ``--policy`` and ``--lend-policy``
+    flags and the ``check`` target use this to switch instrumentation, the
+    invariant sanitizer (:mod:`repro.validate`) or a registered policy
+    into any existing experiment without the figure modules knowing. Each
+    instrumented run's :class:`ClusterRuntime` (one with ``obs`` or a
+    ``validator``) is appended to the yielded list in execution order, so
+    callers can report what was recorded or checked; uninstrumented runs
+    are not kept, so a long sweep under a policy override does not hold
+    every finished runtime alive. A violation surfaces as the run raising
     :class:`~repro.errors.ValidationError`.
+
+    Blocks nest: an inner block's overrides are layered over the
+    enclosing block's, and a run is appended to every enclosing block's
+    list. Override names and values are validated on entry.
     """
-    global _VALIDATE_COLLECTOR
-    if _VALIDATE_COLLECTOR is not None:
-        raise ExperimentError("force_validation() does not nest")
-    _VALIDATE_COLLECTOR = []
     try:
-        yield _VALIDATE_COLLECTOR
-    finally:
-        _VALIDATE_COLLECTOR = None
-
-
-@contextmanager
-def force_policies(offload: Optional[str] = None,
-                   lend: Optional[str] = None) -> Iterator[None]:
-    """Override policy-kernel selections on every run in the block.
-
-    The CLI's ``--policy`` / ``--lend-policy`` flags use this to swap a
-    registered strategy into any existing experiment target without the
-    figure modules knowing: each :func:`run_workload` applies the given
-    names over its config. Names are validated by ``RuntimeConfig`` (and
-    upfront by the CLI) against the :mod:`repro.policies` registries.
-    """
-    global _POLICY_OVERRIDES
-    if _POLICY_OVERRIDES is not None:
-        raise ExperimentError("force_policies() does not nest")
-    overrides = {}
-    if offload is not None:
-        overrides["offload_policy"] = offload
-    if lend is not None:
-        overrides["lend_policy"] = lend
-    _POLICY_OVERRIDES = overrides
+        RuntimeConfig().with_(**overrides)
+    except TypeError as exc:
+        raise ExperimentError(f"force_config: {exc}") from None
+    runtimes: list[ClusterRuntime] = []
+    _FORCED.append((overrides, runtimes))
     try:
-        yield
+        yield runtimes
     finally:
-        _POLICY_OVERRIDES = None
+        _FORCED.pop()
 
 
 @dataclass(frozen=True)
@@ -219,12 +175,8 @@ def run_workload(machine: MachineSpec, num_nodes: int, appranks_per_node: int,
     spec = ClusterSpec.homogeneous(machine, num_nodes)
     if slow_nodes:
         spec = spec.with_slow_nodes(slow_nodes)
-    if _OBS_COLLECTOR is not None and not config.obs:
-        config = config.with_(obs=True)
-    if _VALIDATE_COLLECTOR is not None and not config.validate:
-        config = config.with_(validate=True)
-    if _POLICY_OVERRIDES:
-        config = config.with_(**_POLICY_OVERRIDES)
+    for overrides, _ in _FORCED:
+        config = config.with_(**overrides)
     graph_nodes = num_nodes if home_nodes is None else home_nodes
     num_appranks = graph_nodes * appranks_per_node
     runtime = ClusterRuntime(spec, num_appranks, config, faults=faults,
@@ -232,10 +184,9 @@ def run_workload(machine: MachineSpec, num_nodes: int, appranks_per_node: int,
     if setup is not None:
         setup(runtime)
     results = runtime.run_app(app_factory())
-    if _OBS_COLLECTOR is not None and runtime.obs is not None:
-        _OBS_COLLECTOR.append(runtime.obs)
-    if _VALIDATE_COLLECTOR is not None and runtime.validator is not None:
-        _VALIDATE_COLLECTOR.append(runtime.validator)
+    if runtime.obs is not None or runtime.validator is not None:
+        for _, runtimes in _FORCED:
+            runtimes.append(runtime)
     iteration_maxima = _iteration_maxima(results)
     return RunResult(elapsed=runtime.elapsed, iteration_maxima=iteration_maxima,
                      runtime=runtime, rank_results=results)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ExperimentError
-from ..experiments.base import SMALL, Scale, force_validation
+from ..experiments.base import SMALL, Scale, force_config
 from .sanitizer import Sanitizer
 
 __all__ = ["CHECK_TARGETS", "CheckReport", "run_check"]
@@ -73,7 +73,8 @@ def run_check(target: str, scale: Scale = SMALL,
             f"unknown check target {target!r}; one of "
             f"{', '.join(CHECK_TARGETS)}")
     if faults is not None and target != "resilience":
-        raise ExperimentError("--faults only applies to 'check resilience'")
+        raise ExperimentError("a custom fault plan needs the 'resilience' "
+                              "check target")
     checker = {"headline": _check_headline, "synthetic": _check_synthetic,
                "nbody": _check_nbody, "resilience": _check_resilience}[target]
     return checker(scale, faults, fault_seed)
@@ -82,8 +83,9 @@ def run_check(target: str, scale: Scale = SMALL,
 def _check_headline(scale: Scale, faults: Optional[str],
                     fault_seed: int) -> CheckReport:
     from ..experiments import headline
-    with force_validation() as sanitizers:
+    with force_config(validate=True) as runtimes:
         headline.run(scale=scale, seed=7)
+    sanitizers = [runtime.validator for runtime in runtimes]
     return CheckReport(target="headline", scale=scale.name,
                        runs=len(sanitizers), checked=_merge(sanitizers))
 
@@ -103,11 +105,12 @@ def _check_synthetic(scale: Scale, faults: Optional[str],
                          tasks_per_core=scale.tasks_per_core,
                          iterations=scale.iterations)
 
-    with force_validation() as sanitizers:
+    with force_config(validate=True) as runtimes:
         base, fast = assert_network_speedup_helps(
             lambda m: run_workload(m, 8, 1, config,
                                    lambda: make_synthetic_app(spec)).elapsed,
             machine, factor=4.0)
+    sanitizers = [runtime.validator for runtime in runtimes]
     report = CheckReport(target="synthetic", scale=scale.name,
                          runs=len(sanitizers), checked=_merge(sanitizers))
     verdict = "not increased" if fast <= base else "within anomaly slack"
@@ -157,8 +160,9 @@ def _check_nbody(scale: Scale, faults: Optional[str],
 def _check_resilience(scale: Scale, faults: Optional[str],
                       fault_seed: int) -> CheckReport:
     from ..experiments import resilience
-    with force_validation() as sanitizers:
+    with force_config(validate=True) as runtimes:
         resilience.run(scale=scale, faults=faults, fault_seed=fault_seed)
+    sanitizers = [runtime.validator for runtime in runtimes]
     report = CheckReport(target="resilience", scale=scale.name,
                          runs=len(sanitizers), checked=_merge(sanitizers))
     if faults is not None:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import shlex
+import types
+
 import pytest
 
+import repro.campaign
+from repro import cli
 from repro.cli import main
 
 SMOKE = "app=synthetic;scale=tiny;nodes=2;degree=1,2;imbalance=1.5;seed=0..1"
@@ -41,6 +46,23 @@ class TestCampaignTarget:
         assert (csv_dir / "campaign.csv").exists()
         assert ((csv_dir / "campaign.csv").read_bytes()
                 == (out / "results.csv").read_bytes())
+
+
+class TestResumeCommand:
+    def test_resume_command_keeps_every_flag(self, monkeypatch, capsys):
+        monkeypatch.setattr(repro.campaign, "run_campaign",
+                            lambda *a, **kw: types.SimpleNamespace(
+                                interrupted=True))
+        argv = ["campaign", "--grid", SMOKE, "--out", "c", "--workers", "2",
+                "--chaos", "--seed", "3", "--cell-timeout", "12",
+                "--max-failures", "0", "--max-requeues", "4", "--check",
+                "--csv", "csv-dir"]
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 130
+        command = shlex.split(stderr.splitlines()[-1].removeprefix("#"))
+        assert command[:4] == ["python", "-m", "repro", "campaign"]
+        parser = cli._build_parser()
+        assert parser.parse_args(command[3:]) == parser.parse_args(argv)
 
 
 class TestOneLineErrors:

@@ -1,9 +1,11 @@
 """The repro-experiments command-line interface."""
 
+import json
+
 import pytest
 
 from repro import cli
-from repro.experiments import Scale
+from repro.experiments import Scale, traced
 
 # monkeypatch the scale registry so CLI tests stay fast
 TINY = Scale(name="tiny", cores_per_node=8, tasks_per_core=5, iterations=2,
@@ -47,6 +49,34 @@ class TestCli:
     def test_unknown_scale_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["fig05", "--scale", "galactic"])
+
+
+#: flags each target used to accept and then silently ignore
+IGNORED_FLAGS = [
+    ["fig05", "--seed", "9"],
+    ["jobs", "--trace", "single:app=synthetic,nodes=2", "--seed", "9"],
+    ["jobs", "--trace", "single:app=synthetic,nodes=2",
+     "--policy", "locality"],
+    ["check", "synthetic", "--csv", "d"],
+    ["check", "synthetic", "--out", "f"],
+    ["policies", "--scale", "paper"],
+    ["policies", "--check"],
+    ["campaign", "--grid", "@smoke", "--scale", "tiny"],
+    ["campaign", "--grid", "@smoke",
+     "--faults", "crash:apprank=0,node=1,t=0.5"],
+    ["trace", "synthetic", "--csv", "d"],
+    ["bench", "--policy", "locality"],
+    ["bench", "--obs"],
+    ["bench", "--csv", "d"],
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_FLAGS, ids=" ".join)
+def test_flag_a_target_does_not_honour_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPolicyKernelCli:
@@ -102,6 +132,49 @@ class TestTraceTarget:
         document = json.loads(out.read_text())
         cats = {e.get("cat") for e in document["traceEvents"]}
         assert {"task", "mpi", "dlb"} <= cats
+
+    def test_check_leaves_the_trace_identical(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.nanos import task
+        for name, extra in (("plain", []), ("checked", ["--check"])):
+            # task ids come from a process-wide counter: start both alike
+            monkeypatch.setattr(task, "_task_counter", 0)
+            assert cli.main(["trace", "synthetic", "--scale", "small",
+                             "--out", str(tmp_path / f"{name}.json"),
+                             "--paraver", str(tmp_path / name),
+                             *extra]) == 0
+        assert "# check: 1 runs validated" in capsys.readouterr().out
+        events = [json.loads((tmp_path / f"{name}.json").read_text())
+                  ["traceEvents"] for name in ("plain", "checked")]
+        assert events[0] == events[1]
+        for suffix in (".prv", ".pcf", ".row"):
+            assert ((tmp_path / f"plain{suffix}").read_bytes()
+                    == (tmp_path / f"checked{suffix}").read_bytes())
+
+    def test_policy_flags_reach_the_traced_run(self, monkeypatch):
+        runs = []
+        real_run = traced.run
+
+        def recording_run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(traced, "run", recording_run)
+        assert cli.main(["trace", "synthetic", "--scale", "small",
+                         "--policy", "locality",
+                         "--lend-policy", "hoard"]) == 0
+        config = runs[0].result.runtime.config
+        assert config.offload_policy == "locality"
+        assert config.lend_policy == "hoard"
+
+    @pytest.mark.parametrize("target", ["trace", "check"])
+    def test_faults_need_the_resilience_experiment(self, target, capsys):
+        code = cli.main([target, "synthetic", "--scale", "small",
+                         "--faults", "crash:apprank=0,node=1,t=0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "resilience" in err and "Traceback" not in err
 
     def test_trace_with_paraver_triple(self, tmp_path):
         base = tmp_path / "pt"

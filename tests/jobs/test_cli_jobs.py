@@ -81,11 +81,8 @@ class TestMultijobFigureCli:
         def tiny_run(scale):
             return fig_multijob.run(scale=TINY, loads=(0.5,), jobs=3)
 
-        monkeypatch.setattr(
-            cli, "_run_target",
-            lambda target, scale, **kw: [tiny_run(scale)]
-            if target == "multijob"
-            else pytest.fail("wrong target dispatched"))
+        monkeypatch.setitem(cli.TARGETS, "multijob",
+                            lambda scale, args: [tiny_run(scale)])
         assert cli.main(["multijob", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "slowdown/utilization vs load" in out

@@ -14,7 +14,7 @@ import pytest
 from repro.apps.synthetic import SyntheticSpec, make_synthetic_app
 from repro.cluster import MARENOSTRUM4
 from repro.errors import ExperimentError
-from repro.experiments.base import force_validation, run_workload
+from repro.experiments.base import force_config, run_workload
 from repro.nanos import AccessType, DataAccess, RuntimeConfig
 from repro.nanos.scheduler import AppRankScheduler
 from repro.validate import CHECK_TARGETS, run_check
@@ -45,9 +45,9 @@ class TestValidatedRuns:
     def test_dependency_chains_pass_with_live_edges(self):
         machine = MARENOSTRUM4.scaled(8)
         config = TINY.tune(RuntimeConfig.offloading(2, "global"))
-        with force_validation() as sanitizers:
+        with force_config(validate=True) as runtimes:
             run_workload(machine, 4, 1, config, chained_app)
-        (sanitizer,) = sanitizers
+        (sanitizer,) = [runtime.validator for runtime in runtimes]
         assert sanitizer.finished
         summary = sanitizer.summary()
         assert summary["tasks"] == 4 * 4 * 6
@@ -61,10 +61,10 @@ class TestValidatedRuns:
                              cores_per_apprank=8, tasks_per_core=10,
                              iterations=3)
         config = TINY.tune(RuntimeConfig.offloading(4, "global"))
-        with force_validation() as sanitizers:
+        with force_config(validate=True) as runtimes:
             run_workload(machine, 4, 1, config,
                          lambda: make_synthetic_app(spec))
-        (sanitizer,) = sanitizers
+        (sanitizer,) = [runtime.validator for runtime in runtimes]
         assert sanitizer.summary()["placements"] > 0
         assert sanitizer.oracle_stats is not None
 
@@ -96,11 +96,19 @@ class TestValidatedRuns:
                                sort_keys=True)
         assert plain == validated
 
-    def test_force_validation_does_not_nest(self):
-        with force_validation():
-            with pytest.raises(ExperimentError):
-                with force_validation():
-                    pass
+    def test_force_config_blocks_layer_when_nested(self):
+        machine = MARENOSTRUM4.scaled(8)
+        config = TINY.tune(RuntimeConfig.offloading(2, "global"))
+        with force_config(lend_policy="hoard") as outer:
+            with force_config(validate=True) as inner:
+                run_workload(machine, 4, 1, config, chained_app)
+        (runtime,) = inner
+        assert outer == inner
+        assert runtime.config.lend_policy == "hoard"
+        assert runtime.config.validate and runtime.validator is not None
+        with pytest.raises(ExperimentError, match="no_such_field"):
+            with force_config(no_such_field=True):
+                pass
 
 
 class TestRunCheck:
